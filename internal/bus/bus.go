@@ -42,8 +42,9 @@ type SnoopResponse struct {
 	// Action is the protocol action chosen for this (state, bus event)
 	// cell; its signal assertions drive the wired-OR lines.
 	Action core.SnoopAction
-	// Line, when the action asserts DI on a read, carries the owner's
-	// copy of the line so the bus can source data from it.
+	// Line, when the action asserts DI on a read, carries a copy of
+	// the owner's line so the bus can source data from it. The snooper
+	// gives the copy up: the bus hands it to the master as Result.Data.
 	Line []byte
 	// State is the directory state the action was chosen from; the
 	// paranoid bus mode (Config.Paranoid) validates Action against the
@@ -86,10 +87,16 @@ type Aborter interface {
 // MemoryPort is the main-memory module attached to the bus. Memory is
 // the default owner of all data (§3.1.3) but keeps no consistency
 // state: caches track the validity of memory's copy for it.
+//
+// Ownership: ReadLine returns a fresh slice the caller owns — the bus
+// hands it to the master as Result.Data without copying, and merges a
+// partial write into it in place before writing it back. WriteLine must
+// not retain data: the caller may reuse the buffer once it returns.
 type MemoryPort interface {
-	// ReadLine returns memory's copy of the line.
+	// ReadLine returns a fresh copy of memory's line, owned by the
+	// caller.
 	ReadLine(addr Addr) []byte
-	// WriteLine updates memory's copy.
+	// WriteLine updates memory's copy from data without retaining it.
 	WriteLine(addr Addr, data []byte)
 }
 
@@ -104,7 +111,7 @@ type Result struct {
 	// SL reports that at least one slave (cache or memory) connected.
 	SL bool
 	// Data is the line read (for BusRead) — from the intervening owner
-	// if DI, else from memory.
+	// if DI, else from memory. It is a fresh slice the master owns.
 	Data []byte
 	// Retries counts BS abort/retry rounds the transaction suffered
 	// (split-mode NACKs count here too).
@@ -203,9 +210,18 @@ type Bus struct {
 	snoopers []Snooper
 	arb      *Arbiter
 	stats    Stats
-	// trace, when non-nil, receives every executed transaction.
-	trace func(tx *Transaction, r *Result)
-	depth int // nested-transaction depth (recovery pushes)
+	// trace, when non-nil, receives every executed transaction; the
+	// Result it is handed lives in traced, so reporting it costs no
+	// allocation (nested transactions finish before their parent).
+	trace  func(tx *Transaction, r *Result)
+	traced Result
+	// frames counts executeLocked calls in progress on this bus — BS
+	// recovery pushes, and transactions a memory port issues from
+	// inside a data phase, re-enter it. respBufs[f] is the address
+	// cycle's response buffer for frame f, grown on first use, so a
+	// nested cycle never overwrites responses its parent still needs.
+	frames   int
+	respBufs [][]SnoopResponse
 	// arbWait is the simulated time the current mastership spent
 	// waiting for the grant, measured against the recorder's occupancy
 	// clock in Acquire/Execute and consumed by the first transaction
@@ -313,7 +329,9 @@ func (b *Bus) Attach(s Snooper) {
 }
 
 // SetTrace installs a transaction observer (used by cmd/fbtrace and
-// tests). Must be set before traffic starts.
+// tests). Must be set before traffic starts. Both pointers are valid
+// only for the duration of the call; an observer that keeps either
+// must copy it.
 func (b *Bus) SetTrace(fn func(tx *Transaction, r *Result)) { b.trace = fn }
 
 // Stats returns a snapshot of the accumulated counters.
@@ -490,6 +508,15 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 	if err := tx.check(b.cfg.LineSize); err != nil {
 		return Result{}, err
 	}
+	if b.frames == len(b.respBufs) {
+		b.respBufs = append(b.respBufs, nil)
+	}
+	if cap(b.respBufs[b.frames]) < len(b.snoopers) {
+		b.respBufs[b.frames] = make([]SnoopResponse, len(b.snoopers))
+	}
+	responses := b.respBufs[b.frames][:len(b.snoopers)]
+	b.frames++
+	defer func() { b.frames-- }()
 	// The first transaction of a mastership absorbs the arbitration
 	// wait; nested recovery pushes and follow-on held transactions ran
 	// without re-arbitrating.
@@ -532,7 +559,8 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 		}
 		// Broadcast address cycle: every unit sees the address and
 		// proposes a response (§2.1). Query must be side-effect free.
-		responses := make([]SnoopResponse, len(b.snoopers))
+		// The master's own slot stays zero.
+		clear(responses)
 		busy := false
 		paranoidErr := ""
 		for i, s := range b.snoopers {
@@ -603,12 +631,10 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 						TxID: txid, CauseID: causeID,
 					})
 				}
-				b.depth++
 				prevCause := b.causeTx
 				b.causeTx = txid
 				err := a.Recover(b, tx, responses[i])
 				b.causeTx = prevCause
-				b.depth--
 				if err != nil {
 					return res, fmt.Errorf("bus: BS recovery by snooper %d: %w", s.SnooperID(), err)
 				}
@@ -653,7 +679,8 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 			})
 		}
 		if b.trace != nil {
-			b.trace(tx, &r)
+			b.traced = r
+			b.trace(tx, &b.traced)
 		}
 		return r, nil
 	}
@@ -663,7 +690,7 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 // wired-OR response lines, routes data, and commits every snooper.
 func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Result, error) {
 	var res Result
-	diCount := 0
+	diCount, chCount := 0, 0
 	var diLine []byte
 	for i, s := range b.snoopers {
 		if s.SnooperID() == tx.MasterID {
@@ -672,6 +699,7 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 		a := responses[i].Action
 		if a.AssertCH {
 			res.CH = true
+			chCount++
 		}
 		if a.AssertSL {
 			res.SL = true
@@ -707,22 +735,17 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 	//
 	// Each snooper resolves CH-conditional states against the CH of
 	// the *other* units (§3.2.2 — the listener does not assert, so the
-	// wired-OR it observes is exactly the others').
+	// wired-OR it observes is exactly the others'): the asserters
+	// counted above, less itself.
 	for i, s := range b.snoopers {
 		if s.SnooperID() == tx.MasterID {
 			continue
 		}
-		otherCH := false
-		for j, s2 := range b.snoopers {
-			if j == i || s2.SnooperID() == tx.MasterID {
-				continue
-			}
-			if responses[j].Action.AssertCH {
-				otherCH = true
-				break
-			}
+		others := chCount
+		if responses[i].Action.AssertCH {
+			others--
 		}
-		s.Commit(tx, responses[i], otherCH)
+		s.Commit(tx, responses[i], others > 0)
 		if responses[i].Action.AssertSL && tx.Op == core.BusWrite {
 			b.stats.Updates++
 		}
@@ -735,11 +758,12 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 			if diLine == nil {
 				return res, fmt.Errorf("bus: DI asserted on read without supplying data: %s", tx)
 			}
-			res.Data = append([]byte(nil), diLine...)
+			// The owner's Query copied its line for this transaction.
+			res.Data = diLine
 			b.stats.Interventions++
 		} else {
-			res.Data = append([]byte(nil), b.memory.ReadLine(tx.Addr)...)
-			res.SL = true // memory connects as the responding slave
+			res.Data = b.memory.ReadLine(tx.Addr) // fresh, ours to hand on
+			res.SL = true                         // memory connects as the responding slave
 		}
 	case core.BusWrite:
 		// A broadcast write reaches memory and every SL slave. A
@@ -747,7 +771,7 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 		// memory); only if no owner exists does memory take it.
 		if tx.Signals.Has(core.SigBC) || !res.DI {
 			if tx.Partial != nil {
-				line := b.memory.ReadLine(tx.Addr)
+				line := b.memory.ReadLine(tx.Addr) // fresh: merge in place
 				binary.LittleEndian.PutUint32(line[tx.Partial.Word*4:], tx.Partial.Val)
 				b.memory.WriteLine(tx.Addr, line)
 			} else {
@@ -765,12 +789,12 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 	}
 
 	beats, firstWord, fromOwner := b.cfg.Timing.DataPhaseParts(tx, &res, b.cfg.LineSize)
-	if b.split && b.depth == 0 && !fromOwner && b.tenure.Deferrable(tx, &res) {
+	if b.split && b.frames == 1 && !fromOwner && b.tenure.Deferrable(tx, res) {
 		// Split tenure: the grant ends with the address handshake. The
 		// first-word latency is served off-bus (Pend) and the transfer
 		// beats ride a later data tenure (Deferred); neither occupies
 		// this tenure, so Cost (== Phases.Occupancy) excludes both.
-		// Nested recovery pushes (depth > 0) and owner interventions
+		// Nested recovery pushes (frames > 1) and owner interventions
 		// stay atomic — their data resolves during the snooped tenure.
 		res.Phases.Pend = firstWord
 		res.Phases.Deferred = beats

@@ -256,6 +256,50 @@ func TestOtherCHExcludesSelf(t *testing.T) {
 	}
 }
 
+// TestOtherCHCounted: the commit phase derives each snooper's otherCH
+// from one count of CH asserters; with 0, 1 or 2 asserters every
+// snooper must see what the pairwise definition — some *other*
+// non-master unit asserted CH — gives.
+func TestOtherCHCounted(t *testing.T) {
+	const master, units = 2, 5
+	for _, asserters := range [][]int{nil, {1}, {3}, {0, 4}, {1, 3}} {
+		asserts := map[int]bool{}
+		for _, id := range asserters {
+			asserts[id] = true
+		}
+		b := New(newFakeMemory(16), Config{LineSize: 16})
+		snoopers := make([]*fakeSnooper, units)
+		for id := range snoopers {
+			action := "S"
+			if asserts[id] {
+				action = "S,CH"
+			}
+			snoopers[id] = &fakeSnooper{id: id, resp: respond(action, nil)}
+			b.Attach(snoopers[id])
+		}
+		if _, err := b.Execute(&Transaction{MasterID: master, Op: core.BusRead, Addr: 4}); err != nil {
+			t.Fatal(err)
+		}
+		for id, s := range snoopers {
+			if id == master {
+				if len(s.commits) != 0 {
+					t.Fatalf("asserters %v: master committed its own transaction", asserters)
+				}
+				continue
+			}
+			want := false
+			for other := range snoopers {
+				if other != id && other != master && asserts[other] {
+					want = true
+				}
+			}
+			if got := s.commits[0].otherCH; got != want {
+				t.Errorf("asserters %v: snooper %d saw otherCH=%t, want %t", asserters, id, got, want)
+			}
+		}
+	}
+}
+
 // TestMasterExcludedFromSnoop: the master's own snooper is not queried.
 func TestMasterExcludedFromSnoop(t *testing.T) {
 	mem := newFakeMemory(16)
@@ -274,8 +318,8 @@ func TestMasterExcludedFromSnoop(t *testing.T) {
 	}
 }
 
-// abortingSnooper asserts BS once, pushes during recovery, then
-// responds normally.
+// abortingSnooper asserts BS on the first read it sees, pushes during
+// recovery, then responds normally.
 type abortingSnooper struct {
 	fakeSnooper
 	pushed bool
@@ -287,7 +331,7 @@ func (a *abortingSnooper) Query(tx *Transaction) SnoopResponse {
 		panic("Query while locked")
 	}
 	a.locked = true
-	if !a.pushed {
+	if !a.pushed && tx.Op == core.BusRead {
 		act, _ := core.ParseSnoopAction("BS;S,CA,W")
 		return SnoopResponse{Action: act, State: core.Modified, Hit: true}
 	}
@@ -343,6 +387,34 @@ func TestAbortPushRetry(t *testing.T) {
 	// push, retry) plus two data phases.
 	if res.Cost <= b.Timing().AddressCycleCost()*3 {
 		t.Errorf("cost %d does not include retries", res.Cost)
+	}
+}
+
+// TestNestedRecoveryKeepsOuterResponses: two units assert BS in one
+// address cycle. The first one's recovery push runs a nested address
+// cycle on the same bus; the outer cycle's responses must survive it,
+// so the second unit is recovered in the same round and the master
+// retries once.
+func TestNestedRecoveryKeepsOuterResponses(t *testing.T) {
+	mem := newFakeMemory(16)
+	b := New(mem, Config{LineSize: 16})
+	first := &abortingSnooper{fakeSnooper: fakeSnooper{id: 1}, data: lineOf(16, 1)}
+	second := &abortingSnooper{fakeSnooper: fakeSnooper{id: 2}, data: lineOf(16, 2)}
+	b.Attach(first)
+	b.Attach(second)
+
+	res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.pushed || !second.pushed {
+		t.Fatalf("recovered first=%t second=%t, want both", first.pushed, second.pushed)
+	}
+	if res.Retries != 1 || b.Stats().Aborts != 1 {
+		t.Errorf("retries = %d, aborts = %d; want one abort round", res.Retries, b.Stats().Aborts)
+	}
+	if mem.writes != 2 {
+		t.Errorf("memory writes = %d, want one push per asserter", mem.writes)
 	}
 }
 

@@ -32,7 +32,7 @@ type TenurePolicy interface {
 	// Deferrable reports whether a completed attempt's data phase may be
 	// decoupled from its address tenure. Called with the resolved
 	// wired-OR result, under the shard's arbiter lock.
-	Deferrable(tx *Transaction, r *Result) bool
+	Deferrable(tx *Transaction, r Result) bool
 	// TableSize bounds the per-shard pending-transaction table; 0 means
 	// the policy never defers (atomic mode).
 	TableSize() int
@@ -50,9 +50,9 @@ type atomicTenure struct{}
 // data and memory service, exactly the paper's electrical model.
 func AtomicTenure() TenurePolicy { return atomicTenure{} }
 
-func (atomicTenure) Name() string                          { return "atomic" }
-func (atomicTenure) Deferrable(*Transaction, *Result) bool { return false }
-func (atomicTenure) TableSize() int                        { return 0 }
+func (atomicTenure) Name() string                         { return "atomic" }
+func (atomicTenure) Deferrable(*Transaction, Result) bool { return false }
+func (atomicTenure) TableSize() int                       { return 0 }
 
 // splitTenure is the split-transaction policy.
 type splitTenure struct{ table int }
@@ -73,7 +73,7 @@ func (splitTenure) Name() string { return "split" }
 // only cycles have no data phase, partial (single-word) writes and
 // broadcast updates complete in one beat anyway, and an intervening
 // owner (DI) supplies cache-to-cache during the tenure it snooped.
-func (splitTenure) Deferrable(tx *Transaction, r *Result) bool {
+func (splitTenure) Deferrable(tx *Transaction, r Result) bool {
 	if tx.Op == core.BusAddrOnly || tx.Partial != nil {
 		return false
 	}

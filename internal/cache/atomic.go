@@ -108,8 +108,7 @@ func (u *Uncached) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (ol
 	u.bus.Acquire(addr, u.id)
 	defer u.bus.Release(addr)
 
-	read := &bus.Transaction{MasterID: u.id, Op: core.BusRead, Addr: addr}
-	res, err := u.bus.ExecuteHeld(read)
+	res, err := u.bus.ExecuteHeld(u.scratch.load(bus.Transaction{MasterID: u.id, Op: core.BusRead, Addr: addr}))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -120,11 +119,10 @@ func (u *Uncached) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (ol
 	if u.broadcast {
 		sig |= core.SigBC
 	}
-	write := &bus.Transaction{
+	wres, err := u.bus.ExecuteHeld(u.scratch.load(bus.Transaction{
 		MasterID: u.id, Signals: sig, Op: core.BusWrite, Addr: addr,
-		Partial: &bus.PartialWrite{Word: wordIdx, Val: updated},
-	}
-	wres, err := u.bus.ExecuteHeld(write)
+		Partial: u.scratch.word(wordIdx, updated),
+	}))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -134,7 +132,7 @@ func (u *Uncached) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (ol
 	u.mu.Lock()
 	u.stats.Reads++
 	u.stats.Writes++
-	u.stats.StallNanos += res.StallCost() + wres.StallCost()
 	u.mu.Unlock()
+	u.stall.Add(res.StallCost() + wres.StallCost())
 	return old, updated, nil
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
@@ -106,6 +107,14 @@ type Cache struct {
 	// by set number, and set s is guarded by shards[(s/gran)%nshards].
 	shards []cacheShard
 	sets   [][]line
+
+	// stall is the running total of simulated bus time this cache's
+	// processor spent on its own transactions — the one definition of
+	// Stats.StallNanos, kept outside the shard locks so the engines can
+	// read it per reference without locking anything.
+	stall atomic.Int64
+	// scratch is the processor side's reusable transaction.
+	scratch txScratch
 }
 
 // cacheShard is one fabric shard's slice of the cache: the directory
@@ -115,6 +124,9 @@ type cacheShard struct {
 	mu    sync.Mutex
 	clock uint64
 	stats Stats
+	// recovery is the BS recovery push's reusable transaction; Recover
+	// holds mu across the push, which serialises its users.
+	recovery txScratch
 }
 
 // Stats counts cache-side activity.
@@ -135,7 +147,7 @@ type Stats struct {
 	WritesCaptured        int64
 	AbortsIssued          int64
 	// StallNanos is simulated time this cache's processor spent on bus
-	// transactions it issued.
+	// transactions it issued (the Stall counter at snapshot time).
 	StallNanos int64
 	// Transitions counts line state changes, indexed [from][to] in
 	// core.State order. Identity transitions (a Table 1/2 action that
@@ -237,10 +249,9 @@ func snoopCause(tx *bus.Transaction) string {
 }
 
 // noteStall accounts simulated bus time this cache's processor spent
-// on a transaction it issued, and emits the stall span. Callers hold
-// the shard lock guarding addr.
-func (c *Cache) noteStall(sh *cacheShard, addr bus.Addr, cost int64) {
-	sh.stats.StallNanos += cost
+// on a transaction it issued, and emits the stall span.
+func (c *Cache) noteStall(addr bus.Addr, cost int64) {
+	c.stall.Add(cost)
 	if rec := c.obs; rec != nil {
 		// Split-mode stalls include off-bus time, which can exceed the
 		// occupancy clock's advance; clamp the span start at 0.
@@ -316,9 +327,11 @@ func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
 		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()),
 	}
 	c.shards = make([]cacheShard, c.nshards)
+	// One backing array for every set: a single allocation at setup.
+	ways := make([]line, cfg.Sets*cfg.Ways)
 	c.sets = make([][]line, cfg.Sets)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = ways[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	b.Attach(c)
 	return c
@@ -341,8 +354,14 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		total.Add(c.shards[i].stats)
 	}
+	total.StallNanos = c.stall.Load()
 	return total
 }
+
+// Stall returns the cumulative simulated bus time this cache's
+// processor has spent on its own transactions: an O(1) lock-free read,
+// safe from any goroutine, equal to Stats().StallNanos.
+func (c *Cache) Stall() int64 { return c.stall.Load() }
 
 // setFor maps a line address to its set index.
 func (c *Cache) setFor(addr bus.Addr) int {

@@ -22,6 +22,37 @@ import (
 //     transaction touching this line serialises through the shard we
 //     hold.
 
+// txScratch is a processor side's reusable bus transaction. The
+// processor side of a cache is single-threaded (one processor per
+// cache) and issues one transaction at a time, and the bus keeps no
+// reference to a Transaction once ExecuteHeld returns, so every
+// processor transaction is built here instead of on the heap. BS
+// recovery pushes run on other masters' goroutines, so they use a
+// per-shard scratch guarded by the shard lock instead.
+type txScratch struct {
+	tx      bus.Transaction
+	partial bus.PartialWrite
+	data    []byte
+}
+
+// load resets the scratch transaction to t and returns it.
+func (s *txScratch) load(t bus.Transaction) *bus.Transaction {
+	s.tx = t
+	return &s.tx
+}
+
+// word returns the scratch single-word payload set to (idx, val).
+func (s *txScratch) word(idx int, val uint32) *bus.PartialWrite {
+	s.partial = bus.PartialWrite{Word: idx, Val: val}
+	return &s.partial
+}
+
+// line returns the scratch full-line payload holding a copy of src.
+func (s *txScratch) line(src []byte) []byte {
+	s.data = append(s.data[:0], src...)
+	return s.data
+}
+
 // ReadWord performs a processor read of one 32-bit word.
 func (c *Cache) ReadWord(addr bus.Addr, wordIdx int) (uint32, error) {
 	if err := c.checkWord(wordIdx); err != nil {
@@ -132,20 +163,17 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 	sh.stats.WriteUpgrades++
 	sh.mu.Unlock()
 
-	tx := &bus.Transaction{
+	tx := c.scratch.load(bus.Transaction{
 		MasterID: c.id,
-		Signals:  action.Assert &^ core.SigBC,
+		Signals:  action.Assert,
 		Addr:     addr,
 		Op:       action.Op,
-	}
-	if action.Assert.Has(core.SigBC) {
-		tx.Signals |= core.SigBC
-	}
+	})
 	if action.Op == core.BusWrite {
 		// Update protocols broadcast the written word; holders connect
 		// (SL) and merge it, memory is updated as a Futurebus side
 		// effect (§4.2).
-		tx.Partial = &bus.PartialWrite{Word: wordIdx, Val: val}
+		tx.Partial = c.scratch.word(wordIdx, val)
 	}
 	res, err := c.bus.ExecuteHeld(tx)
 	if err != nil {
@@ -161,7 +189,7 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 	c.setStateTx(sh, l, action.Next.Resolve(res.CH), "write-upgrade", res.TxID)
 	putWord(l.data, wordIdx, val)
 	c.touch(sh, l)
-	c.noteStall(sh, addr, res.StallCost())
+	c.noteStall(addr, res.StallCost())
 	c.noteWrite(addr, wordIdx, val)
 	sh.mu.Unlock()
 	return nil
@@ -225,19 +253,18 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 	case core.BusWrite:
 		// Write past the cache (a write-through or non-allocating
 		// write): a partial word write, no local copy afterwards.
-		tx := &bus.Transaction{
+		res, err := c.bus.ExecuteHeld(c.scratch.load(bus.Transaction{
 			MasterID: c.id,
 			Signals:  action.Assert,
 			Addr:     addr,
 			Op:       core.BusWrite,
-			Partial:  &bus.PartialWrite{Word: wordIdx, Val: val},
-		}
-		res, err := c.bus.ExecuteHeld(tx)
+			Partial:  c.scratch.word(wordIdx, val),
+		}))
 		if err != nil {
 			return err
 		}
 		sh.mu.Lock()
-		c.noteStall(sh, addr, res.StallCost())
+		c.noteStall(addr, res.StallCost())
 		c.noteWrite(addr, wordIdx, val)
 		sh.mu.Unlock()
 		return nil
@@ -255,8 +282,8 @@ func (c *Cache) mustState(addr bus.Addr) core.State {
 }
 
 // fillLine performs a read-miss fill using the policy's read-miss
-// action. Called with the bus held and the shard unlocked. Returns a
-// copy of the line data.
+// action. Called with the bus held and the shard unlocked. Returns the
+// fetched line, a slice the caller owns.
 func (c *Cache) fillLine(addr bus.Addr, event core.LocalEvent) ([]byte, int64, error) {
 	action, ok := c.policyFor(addr).ChooseLocal(core.Invalid, event)
 	if !ok {
@@ -279,13 +306,12 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, in
 			return nil, 0, err
 		}
 	}
-	tx := &bus.Transaction{
+	res, err := c.bus.ExecuteHeld(c.scratch.load(bus.Transaction{
 		MasterID: c.id,
 		Signals:  action.Assert,
 		Addr:     addr,
 		Op:       core.BusRead,
-	}
-	res, err := c.bus.ExecuteHeld(tx)
+	}))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -294,7 +320,7 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, in
 	sh := c.shard(addr)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c.noteStall(sh, addr, res.StallCost())
+	c.noteStall(addr, res.StallCost())
 	if !next.Valid() {
 		// A non-caching read: nothing retained.
 		return res.Data, res.StallCost(), nil
@@ -310,7 +336,9 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, in
 	c.setStateTx(sh, v, next, "fill", res.TxID)
 	v.data = append(v.data[:0], res.Data...)
 	c.touch(sh, v)
-	return append([]byte(nil), res.Data...), res.StallCost(), nil
+	// res.Data is fresh (bus.MemoryPort.ReadLine, or the owner's copy
+	// taken at Query) and the line keeps its own buffer.
+	return res.Data, res.StallCost(), nil
 }
 
 // makeRoom evicts a victim from addr's set if no way is free, pushing
@@ -356,27 +384,26 @@ func (c *Cache) makeRoom(addr bus.Addr) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	data := append([]byte(nil), v.data...)
+	data := c.scratch.line(v.data)
 	sh.mu.Unlock()
 
 	// Push the dirty line. The flusher retains nothing, so CA is not
 	// asserted; sharers of an O line observe column 7 and keep their
 	// copies while memory resumes ownership (Table 1, note 4).
-	tx := &bus.Transaction{
+	res, err := c.bus.ExecuteHeld(c.scratch.load(bus.Transaction{
 		MasterID: c.id,
 		Signals:  action.Assert,
 		Addr:     victimAddr,
 		Op:       core.BusWrite,
 		Data:     data,
-	}
-	res, err := c.bus.ExecuteHeld(tx)
+	}))
 	if err != nil {
 		return err
 	}
 	sh.mu.Lock()
 	sh.stats.DirtyEvictions++
 	sh.stats.Flushes++
-	c.noteStall(sh, victimAddr, res.StallCost())
+	c.noteStall(victimAddr, res.StallCost())
 	if rec := c.obs; rec != nil {
 		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindEvict, Bus: c.bus.SegmentID(victimAddr), Proc: c.id, Addr: uint64(victimAddr), TxID: res.TxID})
 	}
@@ -437,17 +464,16 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	data := append([]byte(nil), l.data...)
+	data := c.scratch.line(l.data)
 	sh.mu.Unlock()
 
-	tx := &bus.Transaction{
+	res, err := c.bus.ExecuteHeld(c.scratch.load(bus.Transaction{
 		MasterID: c.id,
 		Signals:  action.Assert,
 		Addr:     addr,
 		Op:       core.BusWrite,
 		Data:     data,
-	}
-	res, err := c.bus.ExecuteHeld(tx)
+	}))
 	if err != nil {
 		return err
 	}
@@ -461,7 +487,7 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 	case core.Flush:
 		sh.stats.Flushes++
 	}
-	c.noteStall(sh, addr, res.StallCost())
+	c.noteStall(addr, res.StallCost())
 	sh.mu.Unlock()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
@@ -26,6 +27,10 @@ type Uncached struct {
 
 	mu    sync.Mutex
 	stats UncachedStats
+	// stall is the running stall total (see Cache.stall).
+	stall atomic.Int64
+	// scratch is the master's reusable transaction (see txScratch).
+	scratch txScratch
 }
 
 // UncachedStats counts an uncached master's traffic.
@@ -47,8 +52,13 @@ func (u *Uncached) ID() int { return u.id }
 func (u *Uncached) Stats() UncachedStats {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return u.stats
+	s := u.stats
+	s.StallNanos = u.stall.Load()
+	return s
 }
+
+// Stall returns the cumulative simulated bus stall (see Cache.Stall).
+func (u *Uncached) Stall() int64 { return u.stall.Load() }
 
 // ReadWord reads one word through the bus (column 7: ~CA,~IM,~BC). If
 // a cache owns the line it intervenes (DI); otherwise memory responds.
@@ -56,15 +66,14 @@ func (u *Uncached) ReadWord(addr bus.Addr, wordIdx int) (uint32, error) {
 	if wordIdx < 0 || (wordIdx+1)*4 > u.bus.LineSize() {
 		return 0, fmt.Errorf("uncached %d: word %d outside line", u.id, wordIdx)
 	}
-	tx := &bus.Transaction{MasterID: u.id, Signals: 0, Addr: addr, Op: core.BusRead}
-	res, err := u.bus.Execute(tx)
+	res, err := u.bus.Execute(u.scratch.load(bus.Transaction{MasterID: u.id, Addr: addr, Op: core.BusRead}))
 	if err != nil {
 		return 0, err
 	}
 	u.mu.Lock()
 	u.stats.Reads++
-	u.stats.StallNanos += res.StallCost()
 	u.mu.Unlock()
+	u.stall.Add(res.StallCost())
 	return binary.LittleEndian.Uint32(res.Data[wordIdx*4:]), nil
 }
 
@@ -79,13 +88,13 @@ func (u *Uncached) WriteWord(addr bus.Addr, wordIdx int, val uint32) error {
 	if u.broadcast {
 		sig |= core.SigBC
 	}
-	tx := &bus.Transaction{
+	tx := u.scratch.load(bus.Transaction{
 		MasterID: u.id,
 		Signals:  sig,
 		Addr:     addr,
 		Op:       core.BusWrite,
-		Partial:  &bus.PartialWrite{Word: wordIdx, Val: val},
-	}
+		Partial:  u.scratch.word(wordIdx, val),
+	})
 	u.bus.Acquire(addr, u.id)
 	res, err := u.bus.ExecuteHeld(tx)
 	if err == nil && u.onWrite != nil {
@@ -97,7 +106,7 @@ func (u *Uncached) WriteWord(addr bus.Addr, wordIdx int, val uint32) error {
 	}
 	u.mu.Lock()
 	u.stats.Writes++
-	u.stats.StallNanos += res.StallCost()
 	u.mu.Unlock()
+	u.stall.Add(res.StallCost())
 	return nil
 }

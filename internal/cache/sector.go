@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
@@ -38,6 +39,12 @@ type SectorCache struct {
 	// the shard homing that set's sectors.
 	shards []sectorShard
 	sets   [][]sectorEntry
+
+	// stall is the running stall total (see Cache.stall).
+	stall atomic.Int64
+	// scratch is the processor side's reusable transaction (see
+	// txScratch).
+	scratch txScratch
 }
 
 // sectorShard is one fabric shard's slice of the sector cache (see
@@ -46,6 +53,9 @@ type sectorShard struct {
 	mu    sync.Mutex
 	clock uint64
 	stats SectorStats
+	// recovery is the BS recovery push's reusable transaction (see
+	// cacheShard.recovery).
+	recovery txScratch
 }
 
 // SectorConfig parameterises a sector cache.
@@ -201,14 +211,17 @@ func (c *SectorCache) Stats() SectorStats {
 	for i := range c.shards {
 		total.Add(c.shards[i].stats)
 	}
+	total.StallNanos = c.stall.Load()
 	return total
 }
 
+// Stall returns the cumulative simulated bus stall (see Cache.Stall).
+func (c *SectorCache) Stall() int64 { return c.stall.Load() }
+
 // noteStall accounts simulated bus time spent on a transaction this
-// cache issued, and emits the stall span. Callers hold the shard lock
-// guarding addr.
-func (c *SectorCache) noteStall(sh *sectorShard, addr bus.Addr, cost int64) {
-	sh.stats.StallNanos += cost
+// cache issued, and emits the stall span.
+func (c *SectorCache) noteStall(addr bus.Addr, cost int64) {
+	c.stall.Add(cost)
 	if rec := c.obs; rec != nil {
 		// Split-mode stalls include off-bus time, which can exceed the
 		// occupancy clock's advance; clamp the span start at 0.
@@ -409,9 +422,9 @@ func (c *SectorCache) writeHeld(addr bus.Addr, wordIdx int, val uint32) error {
 	}
 	sh.mu.Unlock()
 
-	tx := &bus.Transaction{MasterID: c.id, Signals: action.Assert, Addr: addr, Op: action.Op}
+	tx := c.scratch.load(bus.Transaction{MasterID: c.id, Signals: action.Assert, Addr: addr, Op: action.Op})
 	if action.Op == core.BusWrite {
-		tx.Partial = &bus.PartialWrite{Word: wordIdx, Val: val}
+		tx.Partial = c.scratch.word(wordIdx, val)
 	}
 	res, err := c.bus.ExecuteHeld(tx)
 	if err != nil {
@@ -426,7 +439,7 @@ func (c *SectorCache) writeHeld(addr bus.Addr, wordIdx int, val uint32) error {
 	c.setSubState(sh, addr, &e.subs[si], action.Next.Resolve(res.CH), "write-upgrade", res.TxID)
 	putWord(e.subs[si].data, wordIdx, val)
 	c.touch(sh, e)
-	c.noteStall(sh, addr, res.StallCost())
+	c.noteStall(addr, res.StallCost())
 	c.note(addr, wordIdx, val)
 	return nil
 }
@@ -461,19 +474,17 @@ func (c *SectorCache) writeMissHeld(addr bus.Addr, wordIdx int, val uint32) erro
 	case core.BusWrite:
 		// Write past the cache (write-through / non-allocating): a
 		// partial word write, nothing retained.
-		res, err := c.bus.ExecuteHeld(&bus.Transaction{
+		res, err := c.bus.ExecuteHeld(c.scratch.load(bus.Transaction{
 			MasterID: c.id,
 			Signals:  action.Assert,
 			Addr:     addr,
 			Op:       core.BusWrite,
-			Partial:  &bus.PartialWrite{Word: wordIdx, Val: val},
-		})
+			Partial:  c.scratch.word(wordIdx, val),
+		}))
 		if err != nil {
 			return err
 		}
-		sh.mu.Lock()
-		c.noteStall(sh, addr, res.StallCost())
-		sh.mu.Unlock()
+		c.noteStall(addr, res.StallCost())
 		c.note(addr, wordIdx, val)
 		return nil
 	default:
@@ -511,8 +522,7 @@ func (c *SectorCache) fillSubWith(addr bus.Addr, action core.LocalAction) ([]byt
 		sh.mu.Unlock()
 	}
 
-	tx := &bus.Transaction{MasterID: c.id, Signals: action.Assert, Addr: addr, Op: core.BusRead}
-	res, err := c.bus.ExecuteHeld(tx)
+	res, err := c.bus.ExecuteHeld(c.scratch.load(bus.Transaction{MasterID: c.id, Signals: action.Assert, Addr: addr, Op: core.BusRead}))
 	if err != nil {
 		return nil, err
 	}
@@ -520,7 +530,7 @@ func (c *SectorCache) fillSubWith(addr bus.Addr, action core.LocalAction) ([]byt
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c.noteStall(sh, addr, res.StallCost())
+	c.noteStall(addr, res.StallCost())
 	e, si := c.lookup(addr)
 	if e == nil {
 		return nil, fmt.Errorf("sector cache %d: allocated sector of %#x vanished", c.id, uint64(addr))
@@ -528,7 +538,7 @@ func (c *SectorCache) fillSubWith(addr bus.Addr, action core.LocalAction) ([]byt
 	c.setSubState(sh, addr, &e.subs[si], next, "fill", res.TxID)
 	e.subs[si].data = append(e.subs[si].data[:0], res.Data...)
 	c.touch(sh, e)
-	return append([]byte(nil), res.Data...), nil
+	return res.Data, nil // fresh (see Cache.fillLineWith)
 }
 
 // allocateSector makes a sector entry resident for addr, evicting the
@@ -595,9 +605,7 @@ func (c *SectorCache) allocateSector(addr bus.Addr) error {
 		if err != nil {
 			return err
 		}
-		sh.mu.Lock()
-		c.noteStall(sh, pushes[i].Addr, res.StallCost())
-		sh.mu.Unlock()
+		c.noteStall(pushes[i].Addr, res.StallCost())
 	}
 	return nil
 }

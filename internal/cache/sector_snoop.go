@@ -115,17 +115,17 @@ func (c *SectorCache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.Sno
 	if e == nil || !e.subs[si].state.OwnedCopy() {
 		return fmt.Errorf("sector cache %d: BS recovery for %#x but sub-sector is not owned", c.id, uint64(aborted.Addr))
 	}
-	res, err := b.ExecuteHeld(&bus.Transaction{
+	res, err := b.ExecuteHeld(sh.recovery.load(bus.Transaction{
 		MasterID: c.id,
 		Signals:  rec.Assert,
 		Addr:     aborted.Addr,
 		Op:       core.BusWrite,
-		Data:     append([]byte(nil), e.subs[si].data...),
-	})
+		Data:     sh.recovery.line(e.subs[si].data),
+	}))
 	if err != nil {
 		return err
 	}
-	c.noteStall(sh, aborted.Addr, res.StallCost())
+	c.noteStall(aborted.Addr, res.StallCost())
 	next := rec.Next
 	if !next.Valid() {
 		next = core.Invalid

@@ -158,18 +158,17 @@ func (c *Cache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.SnoopResp
 		return fmt.Errorf("cache %d: BS recovery for %#x but line is not owned", c.id, uint64(aborted.Addr))
 	}
 	sh.stats.AbortsIssued++
-	tx := &bus.Transaction{
+	res, err := b.ExecuteHeld(sh.recovery.load(bus.Transaction{
 		MasterID: c.id,
 		Signals:  rec.Assert,
 		Addr:     aborted.Addr,
 		Op:       core.BusWrite,
-		Data:     append([]byte(nil), l.data...),
-	}
-	res, err := b.ExecuteHeld(tx)
+		Data:     sh.recovery.line(l.data),
+	}))
 	if err != nil {
 		return err
 	}
-	c.noteStall(sh, aborted.Addr, res.StallCost())
+	c.noteStall(aborted.Addr, res.StallCost())
 	c.setStateTx(sh, l, rec.Next, "bs-recovery", res.TxID)
 	return nil
 }

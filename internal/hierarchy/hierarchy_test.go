@@ -112,6 +112,51 @@ func TestBasicCrossClusterFlow(t *testing.T) {
 	}
 }
 
+// TestBridgeReadLineOwnership: the bridge honours the bus.MemoryPort
+// contract — the line its ReadLine returns belongs to the caller, on a
+// store hit, on a global fetch from memory and on one another
+// cluster's bridge supplies by intervention alike, so the local bus may
+// hand it on and mutate it without touching any store or global memory.
+func TestBridgeReadLineOwnership(t *testing.T) {
+	sys := mustNew(t, smallConfig(2, 1))
+	cl, other := sys.Clusters[0], sys.Clusters[1]
+	const written, fetched, remote = bus.Addr(0x40), bus.Addr(0x48), bus.Addr(0x50)
+	if err := cl.Caches[0].WriteWord(written, 0, 0xAA); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Caches[0].WriteWord(remote, 0, 0xBB); err != nil {
+		t.Fatal(err)
+	}
+	// The port is called with the bus held (one arbiter for the tree).
+	cl.Local.Acquire(written, -1)
+	defer cl.Local.Release(written)
+	for _, addr := range []bus.Addr{written, fetched, remote} {
+		var ownerCopy []byte
+		if addr == remote {
+			ownerCopy = other.Bridge.ReadLine(addr)
+		}
+		line := cl.Bridge.ReadLine(addr)
+		want := append([]byte(nil), line...)
+		for i := range line {
+			line[i] = 0xEE
+		}
+		if again := cl.Bridge.ReadLine(addr); string(again) != string(want) {
+			t.Errorf("%#x: mutating ReadLine's result changed the bridge store: %x, want %x", uint64(addr), again, want)
+		}
+		if mem := sys.Memory.Peek(addr); mem[1] == 0xEE {
+			t.Errorf("%#x: mutating ReadLine's result changed global memory: %x", uint64(addr), mem)
+		}
+		if ownerCopy != nil {
+			if got := other.Bridge.ReadLine(addr); string(got) != string(ownerCopy) {
+				t.Errorf("%#x: mutating ReadLine's result changed the intervening owner: %x, want %x", uint64(addr), got, ownerCopy)
+			}
+		}
+	}
+	if err := sys.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIntraClusterSharingStaysLocal: two caches in one cluster sharing
 // a line generate no global traffic beyond the initial fetch.
 func TestIntraClusterSharingStaysLocal(t *testing.T) {

@@ -54,7 +54,8 @@ func (m *Memory) LineSize() int { return m.lineSize }
 // at configuration time, before traffic starts.
 func (m *Memory) SetObs(rec *obs.Recorder) { m.rec = rec }
 
-// ReadLine implements bus.MemoryPort.
+// ReadLine implements bus.MemoryPort: it returns a fresh copy the
+// caller owns.
 func (m *Memory) ReadLine(addr bus.Addr) []byte {
 	if rec := m.rec; rec != nil {
 		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindMemRead, Bus: -1, Proc: -1, Addr: uint64(addr), Bytes: m.lineSize})
@@ -79,7 +80,8 @@ func (m *Memory) WriteLine(addr bus.Addr, data []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Writes++
-	m.lines[addr] = append([]byte(nil), data...)
+	// Reuse the stored buffer: neither ReadLine nor Peek hands it out.
+	m.lines[addr] = append(m.lines[addr][:0], data...)
 }
 
 // Peek returns memory's current copy of a line without counting a read

@@ -52,6 +52,36 @@ func TestReturnedSlicesAreCopies(t *testing.T) {
 	}
 }
 
+// TestReadLineOwnership pins the bus.MemoryPort contract the bus relies
+// on to skip copies: ReadLine returns a fresh slice the caller owns
+// (the bus merges partial writes into it in place), and WriteLine keeps
+// no reference to its argument even when it reuses the stored buffer.
+func TestReadLineOwnership(t *testing.T) {
+	m := New(8)
+	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	m.WriteLine(2, orig)
+	got := m.ReadLine(2)
+	got[0] = 0xFF
+	if peek := m.Peek(2); !bytes.Equal(peek, orig) {
+		t.Fatalf("mutating ReadLine's result changed memory: %x", peek)
+	}
+	// A second write reuses the stored buffer: neither an earlier Peek
+	// nor the caller's buffer may alias it.
+	before := m.Peek(2)
+	next := []byte{9, 9, 9, 9, 9, 9, 9, 9}
+	m.WriteLine(2, next)
+	next[0] = 0
+	if !bytes.Equal(before, orig) {
+		t.Fatalf("rewrite changed an earlier Peek: %x", before)
+	}
+	if peek := m.Peek(2); !bytes.Equal(peek, []byte{9, 9, 9, 9, 9, 9, 9, 9}) {
+		t.Fatalf("memory aliased the writer's buffer: %x", peek)
+	}
+	if a, b := m.ReadLine(3), m.ReadLine(3); &a[0] == &b[0] {
+		t.Fatal("power-on reads share one buffer")
+	}
+}
+
 // TestWriteSizePanics: the §5.1 standard line size is enforced.
 func TestWriteSizePanics(t *testing.T) {
 	defer func() {

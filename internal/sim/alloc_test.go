@@ -1,0 +1,159 @@
+package sim
+
+import (
+	"testing"
+
+	"futurebus/internal/bus"
+	"futurebus/internal/core"
+	"futurebus/internal/workload"
+)
+
+// Deterministic allocation gates for the reference loop. Allocation
+// counts do not depend on the host, so these are exact: a change that
+// makes the hit path allocate, or adds a per-transaction allocation on
+// the bus, fails here rather than only showing up as noise in a
+// benchmark.
+
+// skipUnderRace skips an allocation gate in a -race build.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+}
+
+// repeatGen replays one reference forever.
+type repeatGen struct{ ref workload.Ref }
+
+func (g *repeatGen) Next() workload.Ref { return g.ref }
+
+// engineStepAllocs returns the allocations of one deterministic-engine
+// step — one board's reference — beyond the fixed cost of a Run: the
+// difference between a Run of 1+steps references per board and a Run
+// of 1, over the extra steps.
+func engineStepAllocs(t *testing.T, eng *Engine) float64 {
+	t.Helper()
+	const steps = 500
+	run := func(refs int) func() {
+		return func() {
+			if _, err := eng.Run(refs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	one := testing.AllocsPerRun(10, run(1))
+	many := testing.AllocsPerRun(10, run(1+steps))
+	return (many - one) / float64(steps*len(eng.Gens))
+}
+
+func TestAllocsEngineHits(t *testing.T) {
+	skipUnderRace(t)
+	for _, tc := range []struct {
+		name string
+		ref  workload.Ref
+		hit  func(m Metrics) int64
+	}{
+		{"read-hit", workload.Ref{Line: 5, Word: 1}, func(m Metrics) int64 { return m.Cache.ReadHits }},
+		{"silent-write-hit", workload.Ref{Line: 5, Word: 1, Write: true, Val: 7}, func(m Metrics) int64 { return m.Cache.WriteHits }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(Homogeneous("moesi", 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			idle := workload.Ref{Line: 9}
+			eng := &Engine{Sys: sys, Gens: []workload.Generator{&repeatGen{tc.ref}, &repeatGen{idle}}}
+			if got := engineStepAllocs(t, eng); got != 0 {
+				t.Errorf("%s: %.3f allocs per engine step, want 0", tc.name, got)
+			}
+			before := sys.Bus.Stats().Transactions
+			m, err := eng.Run(10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tc.hit(m); got < 10 {
+				t.Fatalf("%s: only %d hits in a 10-reference run: the step did not take the hit path", tc.name, got)
+			}
+			if txs := m.Bus.Transactions - before; txs != 0 {
+				t.Fatalf("%s: warm run issued %d bus transactions", tc.name, txs)
+			}
+		})
+	}
+}
+
+// maxReadMissAllocs is the ceiling for one atomic-tenure read miss on a
+// 16-snooper bus: the fresh line memory returns (bus.MemoryPort
+// ReadLine), which becomes the master's Result.Data. The address
+// cycle's responses, the Result and the Transaction are not allocated.
+const maxReadMissAllocs = 1
+
+func TestAllocsReadMiss16Snoopers(t *testing.T) {
+	skipUnderRace(t)
+	sys, err := New(Homogeneous("moesi", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.Caches[0]
+	// Fill every way once so victims are clean lines with buffers to
+	// reuse: the steady state of a cache that has been running.
+	next := bus.Addr(0)
+	read := func() {
+		if _, err := c.ReadWord(next, 0); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < 4*64*2; i++ {
+		read()
+	}
+	before := sys.Bus.Stats().Transactions
+	const runs = 200
+	got := testing.AllocsPerRun(runs, read)
+	if txs := sys.Bus.Stats().Transactions - before; txs != runs+1 {
+		t.Fatalf("%d transactions for %d read misses", txs, runs+1)
+	}
+	if got > maxReadMissAllocs {
+		t.Errorf("read miss on a 16-snooper bus: %.0f allocs, ceiling %d", got, maxReadMissAllocs)
+	}
+}
+
+// maxAbortRecoveryAllocs is the ceiling for one BS-abort-plus-recovery
+// read miss, measured together with the owner's write that sets it up:
+// the line memory returns on the retry. The aborted attempt, the nested
+// recovery push (which runs one frame deeper and so uses its own
+// response buffer) and the retry allocate nothing else.
+const maxAbortRecoveryAllocs = 1
+
+func TestAllocsAbortRecovery(t *testing.T) {
+	skipUnderRace(t)
+	sys, err := New(Homogeneous("illinois", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, reader := sys.Caches[0], sys.Caches[1]
+	const line = bus.Addr(3)
+	cycle := func() {
+		// The owner's write leaves it Modified; the reader's miss then
+		// finds a dirty owner, which asserts BS, pushes and lets the
+		// read retry from memory (Table 6).
+		if err := owner.WriteWord(line, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reader.ReadWord(line, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	before := sys.Bus.Stats().Aborts
+	const runs = 100
+	got := testing.AllocsPerRun(runs, cycle)
+	if aborts := sys.Bus.Stats().Aborts - before; aborts != runs+1 {
+		t.Fatalf("%d BS aborts in %d cycles: the read miss did not take the abort path", aborts, runs+1)
+	}
+	if owner.State(line) == core.Modified {
+		t.Fatal("owner still Modified after the recovery push")
+	}
+	if got > maxAbortRecoveryAllocs {
+		t.Errorf("BS abort + recovery read miss: %.0f allocs, ceiling %d", got, maxAbortRecoveryAllocs)
+	}
+}

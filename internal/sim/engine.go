@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"futurebus/internal/bus"
@@ -38,23 +37,59 @@ type procEvent struct {
 	seq  int64 // tie-break for determinism
 }
 
+// eventHeap is a binary min-heap of procEvents ordered by (time, rank,
+// seq). The key is unique (seq never repeats), so the pop order does
+// not depend on the heap's internal layout. It is typed rather than
+// built on container/heap so the per-reference step does not box
+// events into interfaces.
 type eventHeap []procEvent
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (e procEvent) before(o procEvent) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
+	if e.rank != o.rank {
+		return e.rank < o.rank
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)           { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)             { *h = append(*h, x.(procEvent)) }
-func (h *eventHeap) Pop() any               { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-func (h eventHeap) top() procEvent          { return h[0] }
-func (h *eventHeap) replaceTop(e procEvent) { (*h)[0] = e; heap.Fix(h, 0) }
+
+// siftDown restores the heap property below index i.
+func (h eventHeap) siftDown(i int) {
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && h[r].before(h[l]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func (h eventHeap) top() procEvent { return h[0] }
+
+// replaceTop overwrites the minimum and re-sifts it.
+func (h eventHeap) replaceTop(e procEvent) {
+	h[0] = e
+	h.siftDown(0)
+}
+
+// popTop removes the minimum.
+func (h *eventHeap) popTop() {
+	old := *h
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	h.siftDown(0)
+}
 
 // Run executes refsPerProc references on every board and returns the
 // aggregated metrics.
@@ -69,8 +104,11 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 
 	type procState struct {
 		remaining int
-		pending   *workload.Ref
-		time      int64
+		// pending is the reference drawn but not yet executed (it may
+		// be deferred behind a busy shard); hasPending marks it live.
+		pending    workload.Ref
+		hasPending bool
+		time       int64
 		// waited accumulates simulated time this board's next bus access
 		// was deferred because the bus was busy; blocker is the TxID it
 		// was last deferred behind. Reported as one KindBlocked event
@@ -86,6 +124,8 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		defers int
 	}
 	procs := make([]procState, len(e.Sys.Boards))
+	// Every board starts at time 0 in seq order: ascending keys, which
+	// is already a valid heap.
 	h := make(eventHeap, 0, len(procs))
 	var seq int64
 	for i := range procs {
@@ -94,7 +134,6 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		h = append(h, procEvent{time: 0, proc: i, seq: seq})
 		seq++
 	}
-	heap.Init(&h)
 
 	// Per-shard arbitration state: a private Discipline instance per
 	// shard (mirroring the concurrent engine's per-shard arbiter) and
@@ -122,11 +161,10 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		ev := h.top()
 		p := &procs[ev.proc]
 		p.time = ev.time
-		if p.pending == nil {
-			r := e.Gens[ev.proc].Next()
-			p.pending = &r
+		if !p.hasPending {
+			p.pending, p.hasPending = e.Gens[ev.proc].Next(), true
 		}
-		ref := *p.pending
+		ref := p.pending
 		board := e.Sys.Boards[ev.proc]
 		si := e.Sys.Bus.HomeShard(busAddr(ref.Line))
 
@@ -182,7 +220,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 			return Metrics{}, fmt.Errorf("sim: board %d ref %s: %w", ev.proc, ref, err)
 		}
 		busCost := board.Stall() - before
-		p.pending = nil
+		p.hasPending = false
 		p.remaining--
 		refs++
 		e.Sys.noteRef()
@@ -218,7 +256,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 			seq++
 			h.replaceTop(ev)
 		} else {
-			heap.Pop(&h)
+			h.popTop()
 		}
 	}
 
