@@ -10,6 +10,7 @@ package futurebus_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"testing"
 
@@ -329,6 +330,60 @@ func BenchmarkShardedFabric(b *testing.B) {
 			}
 			b.ReportMetric(m.BusUtilization(), "busutil")
 		})
+	}
+}
+
+// BenchmarkConcurrentEngineHost measures the concurrent engine's host
+// throughput — references per wall-second, reported as refs/s next to
+// ns/op — across GOMAXPROCS 1, 2 and 4. Two systems: the perfbench
+// bus-16 protocol mix on one bus, where every miss serialises on the
+// single arbiter, and 8 MOESI boards on a 4-shard backplane, where
+// goroutines on different shards need not contend. System construction
+// is excluded from the timing; the end-of-run consistency check is
+// part of RunConcurrent and included.
+func BenchmarkConcurrentEngineHost(b *testing.B) {
+	busMix := []string{"moesi", "moesi-invalidate", "berkeley", "dragon", "illinois", "synapse", "moesi-update", "write-through"}
+	var bus16 sim.Config
+	for i := 0; i < 2; i++ {
+		for _, p := range busMix {
+			bus16.Boards = append(bus16.Boards, sim.BoardSpec{Protocol: p})
+		}
+	}
+	sharded := sim.Homogeneous("moesi", 8)
+	sharded.Shards = 4
+	model := workload.Model{SharedLines: 64, PrivateLines: 200, PShared: 0.3, PWrite: 0.3, Locality: 0.3}
+	const refs = 1500
+	for _, sys := range []struct {
+		name string
+		cfg  sim.Config
+	}{{"bus16", bus16}, {"moesi8x4shards", sharded}} {
+		for _, procs := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/procs%d", sys.name, procs), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				var total int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					s, err := sim.New(sys.cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					gens := s.Generators(func(proc int) workload.Generator {
+						m := model
+						m.Proc, m.WordsPerLine = proc, s.WordsPerLine()
+						return workload.MustModel(m, 1986)
+					})
+					b.StartTimer()
+					m, err := sim.RunConcurrent(s, gens, refs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					total += m.Refs
+				}
+				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "refs/s")
+			})
+		}
 	}
 }
 

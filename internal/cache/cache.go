@@ -113,6 +113,9 @@ type Cache struct {
 	// Stats.StallNanos, kept outside the shard locks so the engines can
 	// read it per reference without locking anything.
 	stall atomic.Int64
+	// snoopEpoch counts directory changes made on behalf of other
+	// masters (see SnoopEpoch).
+	snoopEpoch atomic.Uint64
 	// scratch is the processor side's reusable transaction.
 	scratch txScratch
 }
@@ -363,6 +366,29 @@ func (c *Cache) Stats() Stats {
 // safe from any goroutine, equal to Stats().StallNanos.
 func (c *Cache) Stall() int64 { return c.stall.Load() }
 
+// SnoopEpoch counts the directory changes other masters' transactions
+// have made in this cache: every snoop Commit on a hit and every BS
+// recovery push. The processor side never moves it. While it stands
+// still, and the cache issues nothing itself, WouldUseBus keeps giving
+// the same answer for a pure policy (see PurePrediction). Lock-free,
+// safe from any goroutine.
+func (c *Cache) SnoopEpoch() uint64 { return c.snoopEpoch.Load() }
+
+// PurePrediction reports whether WouldUseBus is free of side effects:
+// the cache's policy, and every region's, chooses purely
+// (core.PureChooser).
+func (c *Cache) PurePrediction() bool {
+	if !core.PureLocalChoice(c.policy) {
+		return false
+	}
+	for _, r := range c.cfg.Regions {
+		if !core.PureLocalChoice(r.Policy) {
+			return false
+		}
+	}
+	return true
+}
+
 // setFor maps a line address to its set index.
 func (c *Cache) setFor(addr bus.Addr) int {
 	return int(uint64(addr) % uint64(c.cfg.Sets))
@@ -452,9 +478,17 @@ func (c *Cache) recentlyUsed(l *line) bool {
 // WouldUseBus predicts whether an access would issue a bus transaction
 // (a miss, or a write hit that must announce itself). The deterministic
 // simulation engine uses it to order processors in time before
-// executing their references; for dynamically-choosing policies the
-// prediction is a heuristic (the policy may pick differently when the
-// access runs).
+// executing their references. Two things make the answer a snapshot
+// rather than a property of the access:
+//   - It asks the policy's ChooseLocal, so for a policy that is not
+//     pure (random, round-robin: see core.PureChooser) every call
+//     consumes a choice and changes what the policy picks later.
+//   - It reads the directory, which other masters' transactions change.
+//     A snoop can turn a bus access into a hit: an Owned line whose
+//     owner serves (DI) an uncached board's read with no other holder
+//     asserting CH becomes Modified, and a write to it no longer needs
+//     the bus. SnoopEpoch moves whenever such a change can have
+//     happened.
 func (c *Cache) WouldUseBus(addr bus.Addr, write bool) bool {
 	sh := c.shard(addr)
 	sh.mu.Lock()

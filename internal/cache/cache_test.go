@@ -156,6 +156,44 @@ func TestWouldUseBus(t *testing.T) {
 	}
 }
 
+// TestSnoopEpochIntervention: a snoop can turn a predicted bus access
+// into a hit, and SnoopEpoch says so. A Dragon cache holding a line
+// Owned must announce a write. An uncached master's read of the line is
+// served by the owner (DI); with no other holder asserting CH the owner
+// resolves CH:O/M to Modified, and the same write is now silent. The
+// cache's own traffic and a snoop that misses leave the epoch alone.
+func TestSnoopEpochIntervention(t *testing.T) {
+	mem := memory.New(testLineSize)
+	b := bus.New(mem, bus.Config{LineSize: testLineSize})
+	owner := New(0, b, protocols.Dragon(), smallCfg())
+	io := NewUncached(1, b, false, nil)
+	const line = bus.Addr(3)
+	owner.forceLine(line, core.Owned, make([]byte, testLineSize))
+	if !owner.WouldUseBus(line, true) {
+		t.Fatal("write to an Owned line predicted silent")
+	}
+	before := owner.SnoopEpoch()
+	mustRead(t, owner, line+1, 0)
+	if _, err := io.ReadWord(line+2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := owner.SnoopEpoch(); got != before {
+		t.Fatalf("own miss and a missed snoop moved the epoch %d -> %d", before, got)
+	}
+	if _, err := io.ReadWord(line, 0); err != nil {
+		t.Fatal(err)
+	}
+	if owner.State(line) != core.Modified {
+		t.Fatalf("owner in %s after serving the uncached read alone, want M", owner.State(line))
+	}
+	if owner.SnoopEpoch() == before {
+		t.Error("the intervention changed the directory but not the epoch")
+	}
+	if owner.WouldUseBus(line, true) {
+		t.Error("write to the now-Modified line still predicted to need the bus")
+	}
+}
+
 // TestForEachLine reports exactly the valid lines with copied data.
 func TestForEachLine(t *testing.T) {
 	_, _, cs := rig(t, 1, protocols.MOESI, smallCfg())

@@ -42,6 +42,9 @@ type SectorCache struct {
 
 	// stall is the running stall total (see Cache.stall).
 	stall atomic.Int64
+	// snoopEpoch counts snoop-side directory changes (see
+	// Cache.SnoopEpoch).
+	snoopEpoch atomic.Uint64
 	// scratch is the processor side's reusable transaction (see
 	// txScratch).
 	scratch txScratch
@@ -217,6 +220,14 @@ func (c *SectorCache) Stats() SectorStats {
 
 // Stall returns the cumulative simulated bus stall (see Cache.Stall).
 func (c *SectorCache) Stall() int64 { return c.stall.Load() }
+
+// SnoopEpoch counts directory changes other masters' transactions have
+// made in this cache (see Cache.SnoopEpoch).
+func (c *SectorCache) SnoopEpoch() uint64 { return c.snoopEpoch.Load() }
+
+// PurePrediction reports whether WouldUseBus is free of side effects
+// (see Cache.PurePrediction).
+func (c *SectorCache) PurePrediction() bool { return core.PureLocalChoice(c.policy) }
 
 // noteStall accounts simulated bus time spent on a transaction this
 // cache issued, and emits the stall span.

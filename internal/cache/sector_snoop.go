@@ -67,6 +67,7 @@ func (c *SectorCache) Commit(tx *bus.Transaction, resp bus.SnoopResponse, otherC
 	s := &e.subs[si]
 	action := resp.Action
 	sh.stats.SnoopHits++
+	c.snoopEpoch.Add(1)
 
 	if tx.Op == core.BusWrite && (action.AssertDI || action.AssertSL) {
 		if tx.Partial != nil {
@@ -131,6 +132,7 @@ func (c *SectorCache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.Sno
 		next = core.Invalid
 	}
 	c.setSubState(sh, aborted.Addr, &e.subs[si], next, "bs-recovery", res.TxID)
+	c.snoopEpoch.Add(1)
 	return nil
 }
 

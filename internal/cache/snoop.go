@@ -97,6 +97,7 @@ func (c *Cache) Commit(tx *bus.Transaction, resp bus.SnoopResponse, otherCH bool
 	}
 	action := resp.Action
 	sh.stats.SnoopHits++
+	c.snoopEpoch.Add(1)
 	from := l.state
 	dataChanged := false
 
@@ -170,6 +171,7 @@ func (c *Cache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.SnoopResp
 	}
 	c.noteStall(aborted.Addr, res.StallCost())
 	c.setStateTx(sh, l, rec.Next, "bs-recovery", res.TxID)
+	c.snoopEpoch.Add(1)
 	return nil
 }
 

@@ -38,3 +38,21 @@ type Policy interface {
 type RecencyAware interface {
 	ChooseSnoopRecency(s State, e BusEvent, recentlyUsed bool) (SnoopAction, bool)
 }
+
+// PureChooser is an optional Policy property. A policy whose ChooseLocal
+// is a function of its arguments alone — calling it advances no
+// generator, counter or other state — reports true, so a caller may ask
+// it ahead of an access (to predict bus use) as often as it likes
+// without changing what the policy later chooses. A policy that does
+// not implement PureChooser is taken to consume state on every call, as
+// the §3.4 random and round-robin choosers do.
+type PureChooser interface {
+	PureLocalChoice() bool
+}
+
+// PureLocalChoice reports whether p's ChooseLocal is free of side
+// effects (see PureChooser).
+func PureLocalChoice(p Policy) bool {
+	pc, ok := p.(PureChooser)
+	return ok && pc.PureLocalChoice()
+}

@@ -48,7 +48,7 @@ var catalog = []struct {
 			Description: "unowned snoopers ignore read-for-ownership invalidations " +
 				"(column 6), leaving stale readers next to the new exclusive owner",
 		},
-		func(p core.Policy) core.Policy { return &dropInv{p} },
+		func(p core.Policy) core.Policy { return &dropInv{base{p}} },
 	},
 	{
 		Fault{
@@ -57,7 +57,7 @@ var catalog = []struct {
 			Description: "an owner snooping a read-for-ownership supplies the data " +
 				"but refuses to invalidate, so two caches end up owning the line",
 		},
-		func(p core.Policy) core.Policy { return &staleOwner{p} },
+		func(p core.Policy) core.Policy { return &staleOwner{base{p}} },
 	},
 	{
 		Fault{
@@ -67,7 +67,7 @@ var catalog = []struct {
 				"of O — a transition outside its Table 2 column that silently " +
 				"abandons ownership of a line memory no longer has",
 		},
-		func(p core.Policy) core.Policy { return &corruptSnoop{p} },
+		func(p core.Policy) core.Policy { return &corruptSnoop{base{p}} },
 	},
 	{
 		Fault{
@@ -76,7 +76,7 @@ var catalog = []struct {
 			Description: "dirty evictions drop the line silently instead of " +
 				"writing it back, losing the only up-to-date copy",
 		},
-		func(p core.Policy) core.Policy { return &skipCopyback{p} },
+		func(p core.Policy) core.Policy { return &skipCopyback{base{p}} },
 	},
 	{
 		Fault{
@@ -85,7 +85,7 @@ var catalog = []struct {
 			Description: "an owner snooping a read miss keeps its state but does " +
 				"not intervene (no DI), so stale memory serves the reader",
 		},
-		func(p core.Policy) core.Policy { return &muteOwner{p} },
+		func(p core.Policy) core.Policy { return &muteOwner{base{p}} },
 	},
 	{
 		Fault{
@@ -94,7 +94,7 @@ var catalog = []struct {
 			Description: "read misses always install M, even when CH shows other " +
 				"caches hold the line",
 		},
-		func(p core.Policy) core.Policy { return &phantomFill{p} },
+		func(p core.Policy) core.Policy { return &phantomFill{base{p}} },
 	},
 }
 
@@ -141,6 +141,15 @@ func Split(spec string) (proto, fault string) {
 	return spec, ""
 }
 
+// base embeds the wrapped policy. An embedded interface promotes only
+// core.Policy's own methods, so base forwards the optional properties a
+// fault leaves intact: every fault here rewrites fixed cells, so its
+// local choice is as pure as the wrapped policy's.
+type base struct{ core.Policy }
+
+// PureLocalChoice implements core.PureChooser.
+func (b base) PureLocalChoice() bool { return core.PureLocalChoice(b.Policy) }
+
 func mustLocal(cell string) core.LocalAction {
 	a, err := core.ParseLocalAction(cell)
 	if err != nil {
@@ -158,7 +167,7 @@ func mustSnoop(cell string) core.SnoopAction {
 }
 
 // dropInv: unowned valid snoopers keep their copy on column 6.
-type dropInv struct{ core.Policy }
+type dropInv struct{ base }
 
 func (p *dropInv) Name() string { return p.Policy.Name() + "+drop-inv" }
 
@@ -170,7 +179,7 @@ func (p *dropInv) ChooseSnoop(s core.State, e core.BusEvent) (core.SnoopAction, 
 }
 
 // staleOwner: owners intervene on column 6 but keep their state.
-type staleOwner struct{ core.Policy }
+type staleOwner struct{ base }
 
 func (p *staleOwner) Name() string { return p.Policy.Name() + "+stale-owner" }
 
@@ -184,7 +193,7 @@ func (p *staleOwner) ChooseSnoop(s core.State, e core.BusEvent) (core.SnoopActio
 // corruptSnoop: owners snooping a cache read land in S instead of O.
 // S keeps every later table cell defined, so the bug survives long
 // enough for the monitor — not a substrate panic — to call it out.
-type corruptSnoop struct{ core.Policy }
+type corruptSnoop struct{ base }
 
 func (p *corruptSnoop) Name() string { return p.Policy.Name() + "+corrupt-snoop" }
 
@@ -196,7 +205,7 @@ func (p *corruptSnoop) ChooseSnoop(s core.State, e core.BusEvent) (core.SnoopAct
 }
 
 // skipCopyback: dirty flushes discard the line silently.
-type skipCopyback struct{ core.Policy }
+type skipCopyback struct{ base }
 
 func (p *skipCopyback) Name() string { return p.Policy.Name() + "+skip-copyback" }
 
@@ -209,7 +218,7 @@ func (p *skipCopyback) ChooseLocal(s core.State, e core.LocalEvent) (core.LocalA
 
 // muteOwner: owners snooping a cache read keep quiet ownership — CH but
 // no DI — so memory (stale) supplies the reader.
-type muteOwner struct{ core.Policy }
+type muteOwner struct{ base }
 
 func (p *muteOwner) Name() string { return p.Policy.Name() + "+mute-owner" }
 
@@ -221,7 +230,7 @@ func (p *muteOwner) ChooseSnoop(s core.State, e core.BusEvent) (core.SnoopAction
 }
 
 // phantomFill: every read miss installs M regardless of CH.
-type phantomFill struct{ core.Policy }
+type phantomFill struct{ base }
 
 func (p *phantomFill) Name() string { return p.Policy.Name() + "+phantom-fill" }
 

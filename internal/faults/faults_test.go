@@ -95,3 +95,26 @@ func TestWrappersCorruptOnlyTheirCell(t *testing.T) {
 		t.Errorf("phantom-fill should install M: %v", a)
 	}
 }
+
+// TestWrapKeepsPurity: a fault rewrites fixed cells, so a wrapped
+// policy chooses as purely as the policy it wraps — a wrapper that hid
+// the property would send a correct board's predictions through the
+// deterministic engine's re-poll path, and one that claimed it for a
+// dynamic chooser would let the engine skip polls that consume choices.
+func TestWrapKeepsPurity(t *testing.T) {
+	for _, name := range Names() {
+		for proto, want := range map[string]bool{"moesi": true, "random": false} {
+			p, err := protocols.New(proto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := Wrap(name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := core.PureLocalChoice(w); got != want {
+				t.Errorf("%s+%s: PureLocalChoice = %v, want %v", proto, name, got, want)
+			}
+		}
+	}
+}

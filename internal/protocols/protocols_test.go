@@ -304,3 +304,34 @@ func TestFreshPolicyInstances(t *testing.T) {
 		t.Error("registry shares round-robin state between instances")
 	}
 }
+
+// TestDynamicPredictionsExact: whatever a policy picks, whether a local
+// event needs the bus is fixed by the state and the event. The
+// deterministic engine relies on this to keep boards parked behind a
+// busy shard: a board that predicted no bus access must not issue one
+// when the access runs, even if its policy chose again in between.
+// Pure policies only ever give one answer; for the dynamic choosers
+// every cell is asked repeatedly.
+func TestDynamicPredictionsExact(t *testing.T) {
+	for _, name := range Names() {
+		p, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pure := core.PureLocalChoice(p)
+		if dynamic := name == "random" || name == "round-robin"; pure == dynamic {
+			t.Errorf("%s: PureLocalChoice = %v", name, pure)
+		}
+		for _, s := range core.States {
+			for _, e := range core.LocalEvents {
+				first, ok := p.ChooseLocal(s, e)
+				for i := 0; ok && i < 32; i++ {
+					if a, _ := p.ChooseLocal(s, e); a.NeedsBus() != first.NeedsBus() {
+						t.Errorf("%s %s/%s: chose %s and %s, which disagree on the bus", name, s, e, first, a)
+						break
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"futurebus/internal/bus"
@@ -155,5 +156,115 @@ func TestAllocsAbortRecovery(t *testing.T) {
 	}
 	if got > maxAbortRecoveryAllocs {
 		t.Errorf("BS abort + recovery read miss: %.0f allocs, ceiling %d", got, maxAbortRecoveryAllocs)
+	}
+}
+
+// mallocBoard counts the heap allocations made inside its board's Read
+// and Write — the cache and bus work of a reference — and how often its
+// prediction said the access must wait for the bus. It reaches the
+// engine as a wrapper, so it also checks that PurePrediction and
+// SnoopEpoch forward through one and keep the wait list in use.
+type mallocBoard struct {
+	Board
+	ms      runtime.MemStats
+	inside  uint64
+	waiting int
+}
+
+func (b *mallocBoard) count(f func()) {
+	runtime.ReadMemStats(&b.ms)
+	m0 := b.ms.Mallocs
+	f()
+	runtime.ReadMemStats(&b.ms)
+	b.inside += b.ms.Mallocs - m0
+}
+
+func (b *mallocBoard) Read(addr bus.Addr, word int) (v uint32, err error) {
+	b.count(func() { v, err = b.Board.Read(addr, word) })
+	return v, err
+}
+
+func (b *mallocBoard) Write(addr bus.Addr, word int, val uint32) (err error) {
+	b.count(func() { err = b.Board.Write(addr, word, val) })
+	return err
+}
+
+func (b *mallocBoard) UsesBusNext(addr bus.Addr, write bool) bool {
+	r := b.Board.UsesBusNext(addr, write)
+	if r {
+		b.waiting++
+	}
+	return r
+}
+
+// TestAllocsDeferralPath: on a saturated 16-board system with bus-16's
+// protocol mix, where most references wait behind the bus and park on
+// the wait list, the engine's own per-reference work — scheduling,
+// parking, re-deferral, the workload generator — allocates nothing.
+// Only the boards' Read and Write (misses, interventions, memory
+// buffers) may allocate, and those are subtracted.
+func TestAllocsDeferralPath(t *testing.T) {
+	skipUnderRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sys, err := New(Config{Boards: scheduleMixes[0].boards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boards := make([]*mallocBoard, len(sys.Boards))
+	for i, b := range sys.Boards {
+		boards[i] = &mallocBoard{Board: b}
+		sys.Boards[i] = boards[i]
+	}
+	eng := &Engine{Sys: sys, Gens: abGens(sys, 0.3, 0.3, 1986)}
+	var ms runtime.MemStats
+	// engineAllocs runs refs references per board and returns the
+	// allocations made outside the boards' Read and Write.
+	engineAllocs := func(refs int) (uint64, Metrics) {
+		var inside uint64
+		for _, b := range boards {
+			inside -= b.inside
+		}
+		runtime.ReadMemStats(&ms)
+		m0 := ms.Mallocs
+		m, err := eng.Run(refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		for _, b := range boards {
+			inside += b.inside
+		}
+		return ms.Mallocs - m0 - inside, m
+	}
+	engineAllocs(200) // warm caches, memory and the generators
+	const refs = 300
+	// Run(0) pays everything a Run allocates apart from its references:
+	// the engine state, including the wait lists, and the Metrics.
+	// Another goroutine can allocate during a measurement but never
+	// un-allocate, so the least of a few repetitions is the exact count.
+	setup, total := ^uint64(0), ^uint64(0)
+	var m Metrics
+	waiting := 0
+	for rep := 0; rep < 5; rep++ {
+		empty, _ := engineAllocs(0)
+		for _, b := range boards {
+			waiting -= b.waiting
+		}
+		var full uint64
+		full, m = engineAllocs(refs)
+		setup, total = min(setup, empty), min(total, full)
+		for _, b := range boards {
+			waiting += b.waiting
+		}
+	}
+	if u := m.BusUtilization(); u < 0.9 {
+		t.Fatalf("bus utilization %.2f: the system is not saturated", u)
+	}
+	if waiting < 5*int(m.Refs)/2 {
+		t.Fatalf("only %d deferrals in %d references: the deferral path is barely exercised", waiting, m.Refs)
+	}
+	if total != setup {
+		t.Errorf("engine allocations outside the boards: %d for a Run of %d references per board, %d for an empty Run; the reference loop allocates",
+			total, refs, setup)
 	}
 }

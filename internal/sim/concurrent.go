@@ -20,6 +20,9 @@ func RunConcurrent(sys *System, gens []workload.Generator, refsPerProc int) (Met
 	if len(gens) != len(sys.Boards) {
 		return Metrics{}, fmt.Errorf("sim: %d generators for %d boards", len(gens), len(sys.Boards))
 	}
+	if refsPerProc < 0 {
+		return Metrics{}, fmt.Errorf("sim: negative reference count %d per board", refsPerProc)
+	}
 	errs := make([]error, len(sys.Boards))
 	var wg sync.WaitGroup
 	for i, board := range sys.Boards {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"futurebus/internal/bus"
 	"futurebus/internal/workload"
 )
 
@@ -240,5 +241,83 @@ func TestSectorBoardsInEngine(t *testing.T) {
 	}
 	if m.Cache.Reads == 0 || m.MissRatio() == 0 {
 		t.Errorf("sector stats not aggregated: %+v", m.Cache)
+	}
+}
+
+// TestRunReferenceCounts: both engines run exactly refsPerProc
+// references per board, run nothing at 0, and reject a negative count
+// with an error rather than running one reference per board (the
+// deterministic engine) or reporting negative totals (the concurrent
+// one).
+func TestRunReferenceCounts(t *testing.T) {
+	engines := []struct {
+		name string
+		run  func(sys *System, refs int) (Metrics, error)
+	}{
+		{"det", func(sys *System, refs int) (Metrics, error) {
+			eng := Engine{Sys: sys, Gens: abGens(sys, 0.3, 0.3, 7)}
+			return eng.Run(refs)
+		}},
+		{"conc", func(sys *System, refs int) (Metrics, error) {
+			return RunConcurrent(sys, abGens(sys, 0.3, 0.3, 7), refs)
+		}},
+	}
+	for _, eng := range engines {
+		for _, tc := range []struct {
+			refs    int
+			want    int64
+			wantErr bool
+		}{
+			{refs: -3, wantErr: true},
+			{refs: 0, want: 0},
+			{refs: 5, want: 20},
+		} {
+			sys, err := New(Homogeneous("moesi", 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := eng.run(sys, tc.refs)
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "negative reference count -3") {
+					t.Errorf("%s Run(%d): err = %v, want a negative-count error", eng.name, tc.refs, err)
+				}
+				if n := sys.RefsDone(); n != 0 {
+					t.Errorf("%s Run(%d) executed %d references", eng.name, tc.refs, n)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s Run(%d): %v", eng.name, tc.refs, err)
+			}
+			if m.Refs != tc.want || sys.RefsDone() != tc.want {
+				t.Errorf("%s Run(%d): Refs = %d, RefsDone = %d, want %d", eng.name, tc.refs, m.Refs, sys.RefsDone(), tc.want)
+			}
+			if tc.refs == 0 && m.Bus.Transactions != 0 {
+				t.Errorf("%s Run(0) issued %d bus transactions", eng.name, m.Bus.Transactions)
+			}
+		}
+	}
+}
+
+// liarBoard predicts that no access needs the bus.
+type liarBoard struct{ Board }
+
+func (liarBoard) UsesBusNext(bus.Addr, bool) bool { return false }
+
+// TestRunRejectsInexactPrediction: boards parked behind a busy shard are
+// re-deferred only at grants, which is exact only while every board's
+// prediction is. A board that predicts no bus access and then issues one
+// on a shard with parked boards makes Run fail with an error naming it,
+// rather than drift from the schedule the heap alone would produce.
+func TestRunRejectsInexactPrediction(t *testing.T) {
+	sys, err := New(Homogeneous("moesi", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Boards[0] = liarBoard{sys.Boards[0]}
+	eng := Engine{Sys: sys, Gens: abGens(sys, 0.3, 0.3, 7)}
+	_, err = eng.Run(2000)
+	if err == nil || !strings.Contains(err.Error(), "board 0") || !strings.Contains(err.Error(), "after predicting no bus access") {
+		t.Fatalf("Run with a board that mispredicts: err = %v", err)
 	}
 }

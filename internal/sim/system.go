@@ -28,8 +28,26 @@ type Board interface {
 	Read(addr bus.Addr, word int) (uint32, error)
 	Write(addr bus.Addr, word int, val uint32) error
 	// UsesBusNext predicts whether the given access needs the bus (for
-	// event ordering in the deterministic engine).
+	// event ordering in the deterministic engine). The answer holds for
+	// the moment it is asked, not for the access: a dynamic policy
+	// consumes a choice on every call (see PurePrediction), and another
+	// master's transaction can change the board's directory so that a
+	// bus access becomes a hit — an Owned line whose owner alone serves
+	// an uncached board's read becomes Modified (see SnoopEpoch).
 	UsesBusNext(addr bus.Addr, write bool) bool
+	// PurePrediction reports whether UsesBusNext is free of side
+	// effects, so asking it again before the access changes nothing.
+	// The deterministic engine parks such a board while the bus is busy
+	// instead of re-asking it at every grant; a board whose policy
+	// consumes state on each choice is re-asked, so its choices do not
+	// depend on how the engine is written.
+	PurePrediction() bool
+	// SnoopEpoch counts the directory changes other masters'
+	// transactions have made on this board (0 for a board without a
+	// directory). While it stands still, a pure UsesBusNext keeps its
+	// answer. It belongs to the interface, not an optional one, so
+	// wrappers forward it.
+	SnoopEpoch() uint64
 	// Stall returns cumulative simulated bus time this board has spent
 	// on its own transactions. The deterministic engine reads it twice
 	// per reference, so it must be cheap and lock-free.
@@ -171,6 +189,8 @@ func (b *uncachedBoard) Write(addr bus.Addr, word int, val uint32) error {
 	return b.WriteWord(addr, word, val)
 }
 func (b *uncachedBoard) UsesBusNext(bus.Addr, bool) bool { return true }
+func (b *uncachedBoard) PurePrediction() bool            { return true }
+func (b *uncachedBoard) SnoopEpoch() uint64              { return 0 }
 func (b *uncachedBoard) Describe() string                { return b.name }
 
 // New builds a system from the config.
