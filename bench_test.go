@@ -604,7 +604,11 @@ func BenchmarkModelChecker(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if res := verify.Explore(boards); !res.Ok() {
+		res, err := verify.Explore(boards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Ok() {
 			b.Fatalf("%s", res)
 		}
 	}

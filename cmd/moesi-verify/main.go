@@ -8,6 +8,9 @@
 // Usage:
 //
 //	moesi-verify [-boards 3]
+//
+// Exit status: 1 on a violation or a missed hazard, 2 if -boards is
+// outside 1–4.
 package main
 
 import (
@@ -24,29 +27,36 @@ func main() {
 	n := flag.Int("boards", 3, "boards per exploration (1-4)")
 	flag.Parse()
 	exit := 0
+	explore := func(boards ...verify.Chooser) verify.Result {
+		res, err := verify.Explore(boards)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "moesi-verify:", err)
+			os.Exit(2)
+		}
+		return res
+	}
+	report := func(label string, res verify.Result) {
+		fmt.Printf("  %s%s\n", label, res)
+		if !res.Ok() {
+			exit = 1
+		}
+	}
 
+	var boards []verify.Chooser
+	for i := 0; i < *n; i++ {
+		boards = append(boards, verify.ClassChooser{Variant: core.CopyBack})
+	}
+	res := explore(boards...)
 	fmt.Printf("== the full class, %d copy-back boards ==\n", *n)
-	boards := make([]verify.Chooser, *n)
-	for i := range boards {
-		boards[i] = verify.ClassChooser{Variant: core.CopyBack}
-	}
-	res := verify.Explore(boards)
-	fmt.Println(" ", res)
-	if !res.Ok() {
-		exit = 1
-	}
+	report("", res)
 
 	fmt.Println("\n== class + write-through + non-caching ==")
-	res = verify.Explore([]verify.Chooser{
+	report("", explore(
 		verify.ClassChooser{Variant: core.CopyBack},
 		verify.ClassChooser{Variant: core.CopyBack},
 		verify.ClassChooser{Variant: core.WriteThrough},
 		verify.ClassChooser{Variant: core.NonCaching},
-	})
-	fmt.Println(" ", res)
-	if !res.Ok() {
-		exit = 1
-	}
+	))
 
 	fmt.Println("\n== each protocol, protocol-pure (3 boards) ==")
 	for _, name := range protocols.Names() {
@@ -60,11 +70,7 @@ func main() {
 			continue
 		}
 		tc := verify.TableChooser{Table: p.Table()}
-		res := verify.Explore([]verify.Chooser{tc, tc, tc})
-		fmt.Printf("  %-24s %s\n", name, res)
-		if !res.Ok() {
-			exit = 1
-		}
+		report(fmt.Sprintf("%-24s ", name), explore(tc, tc, tc))
 	}
 
 	fmt.Println("\n== the §4 adaptation hazards (expected to be FOUND) ==")
@@ -79,10 +85,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			continue
 		}
-		res := verify.Explore([]verify.Chooser{
+		res := explore(
 			verify.TableChooser{Table: a.Table()},
 			verify.TableChooser{Table: b.Table()},
-		})
+		)
 		fmt.Printf("  %s × %s:\n", pair[0], pair[1])
 		if res.Ok() {
 			fmt.Println("    NO HAZARD FOUND — this should not happen")

@@ -85,8 +85,8 @@ type Aborter interface {
 }
 
 // MemoryPort is the main-memory module attached to the bus. Memory is
-// the default owner of all data (§3.1.3) but keeps no consistency
-// state: caches track the validity of memory's copy for it.
+// the default owner of all data (core.InvMemoryOwner) but keeps no
+// consistency state: caches track the validity of memory's copy for it.
 //
 // Ownership: ReadLine returns a fresh slice the caller owns — the bus
 // hands it to the master as Result.Data without copying, and merges a
@@ -710,11 +710,11 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 			diLine = responses[i].Line
 		}
 	}
-	// Ownership is unique (§3.1.3): two simultaneous DI assertions mean
-	// two owners, a broken system. Release every directory before
-	// failing — Query holds each snooper's shard lock until Commit or
-	// Cancel, and leaking them would turn a reportable protocol bug
-	// into a whole-machine deadlock.
+	// Ownership is unique (core.InvSingleOwner): two simultaneous DI
+	// assertions mean two owners, a broken system. Release every
+	// directory before failing — Query holds each snooper's shard lock
+	// until Commit or Cancel, and leaking them would turn a reportable
+	// protocol bug into a whole-machine deadlock.
 	if diCount > 1 {
 		for i, s := range b.snoopers {
 			if s.SnooperID() == tx.MasterID {

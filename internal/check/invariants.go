@@ -52,26 +52,16 @@ type Checker struct {
 	Shadow *Shadow
 }
 
-// Check runs all invariants and returns every violation found.
+// Check runs all invariants and returns every violation found: the
+// three §3.1 rules of core.Census, judged with memory current when every
+// valid copy equals it (on the Futurebus broadcast writes update memory,
+// which is what makes this stronger-than-Dragon form hold; see §4.2),
+// plus two data rules:
 //
-// The invariants, straight from §3.1:
-//
-//  1. Ownership is unique: at most one cache holds a line in M or O
-//     ("all data is said to be owned uniquely either by one and only
-//     one cache or by main memory").
-//  2. Exclusivity is real: if a cache holds a line in M or E, no other
-//     cache holds it at all ("exclusive data is cached data that is
-//     contained in one and only one cache").
-//  3. The image is single-valued: every valid cached copy of a line is
+//   - the image is single-valued: every valid cached copy of a line is
 //     identical (a write either updates or invalidates all other
-//     copies, so divergent copies mean a lost update).
-//  4. Unowned implies memory-valid: if no cache owns the line, memory
-//     holds the image, so every valid copy must match memory. (On the
-//     Futurebus broadcast writes update memory, which is what makes
-//     this stronger-than-Dragon property hold; see §4.2.)
-//  5. E matches memory: "exclusive data must match the copy in main
-//     memory" (§3.1.2).
-//  6. Golden: the image (owner's copy, or memory) equals the value the
+//     copies, so divergent copies mean a lost update);
+//   - golden: the image (owner's copy, or memory) equals the value the
 //     program last wrote (Shadow).
 func (c *Checker) Check() []Violation {
 	var out []Violation
@@ -109,89 +99,68 @@ func (c *Checker) checkLine(addr bus.Addr, copies []copyInfo) []Violation {
 		out = append(out, Violation{Addr: addr, Reason: fmt.Sprintf(format, args...)})
 	}
 
-	var owners, exclusives []copyInfo
-	for _, cp := range copies {
-		if cp.state.OwnedCopy() {
-			owners = append(owners, cp)
+	memLine := c.Memory.Peek(addr)
+	var census core.Census
+	owner, memCurrent := -1, true
+	for i, cp := range copies {
+		census.Add(cp.state, 1)
+		if owner < 0 && cp.state.OwnedCopy() {
+			owner = i
 		}
-		if cp.state.ExclusiveCopy() {
-			exclusives = append(exclusives, cp)
+		memCurrent = memCurrent && bytes.Equal(cp.data, memLine)
+	}
+	breaches := census.Breaches(memCurrent)
+	for _, inv := range core.Invariants {
+		if breaches.Has(inv) {
+			bad("%s: %s", inv, describe(copies, memLine))
 		}
 	}
-
-	// 1. Unique ownership.
-	if len(owners) > 1 {
-		bad("owned by %d caches (%s)", len(owners), describe(owners))
-	}
-	// 2. Real exclusivity.
-	if len(exclusives) > 0 && len(copies) > 1 {
-		bad("cache %d claims exclusivity (%s) but %d caches hold copies",
-			exclusives[0].cacheID, exclusives[0].state.Letter(), len(copies))
-	}
-	// 3. Single-valued image across caches.
 	for _, cp := range copies[min(1, len(copies)):] {
 		if !bytes.Equal(cp.data, copies[0].data) {
 			bad("caches %d and %d hold divergent copies", copies[0].cacheID, cp.cacheID)
 			break
 		}
 	}
-
-	memLine := c.Memory.Peek(addr)
-	// 4. Unowned implies memory-valid.
-	if len(owners) == 0 {
-		for _, cp := range copies {
-			if !bytes.Equal(cp.data, memLine) {
-				bad("no owner, but cache %d (%s) differs from memory", cp.cacheID, cp.state.Letter())
-				break
-			}
-		}
-	}
-	// 5. E matches memory.
-	for _, cp := range copies {
-		if cp.state == core.Exclusive && !bytes.Equal(cp.data, memLine) {
-			bad("cache %d holds E but differs from memory", cp.cacheID)
-		}
-	}
-	// 6. Golden image.
 	if c.Shadow != nil {
-		want := c.Shadow.Line(addr)
-		image := memLine
-		if len(owners) > 0 {
-			image = owners[0].data
+		image, source := memLine, "memory"
+		if owner >= 0 {
+			image, source = copies[owner].data, fmt.Sprintf("owner cache %d", copies[owner].cacheID)
 		}
-		if !bytes.Equal(image, want) {
-			bad("image (%s) differs from golden record of writes", imageSource(owners))
+		if !bytes.Equal(image, c.Shadow.Line(addr)) {
+			bad("image (%s) differs from golden record of writes", source)
 		}
 	}
 	return out
 }
 
-func describe(copies []copyInfo) string {
+// describe lists a line's copies, marking those that differ from memory.
+func describe(copies []copyInfo, memLine []byte) string {
 	var b bytes.Buffer
 	for i, cp := range copies {
 		if i > 0 {
 			b.WriteString(", ")
 		}
 		fmt.Fprintf(&b, "cache %d=%s", cp.cacheID, cp.state.Letter())
+		if !bytes.Equal(cp.data, memLine) {
+			b.WriteString(" (differs from memory)")
+		}
 	}
 	return b.String()
 }
 
-func imageSource(owners []copyInfo) string {
-	if len(owners) == 0 {
-		return "memory"
-	}
-	return fmt.Sprintf("owner cache %d", owners[0].cacheID)
-}
-
 // MustPass runs Check and returns an error summarising any violations.
 func (c *Checker) MustPass() error {
-	vs := c.Check()
+	return Failure("consistency check failed with", c.Check())
+}
+
+// Failure returns nil when vs is empty, and otherwise an error headed
+// "<header> <n> violations:" that lists the first 20 of them.
+func Failure[V fmt.Stringer](header string, vs []V) error {
 	if len(vs) == 0 {
 		return nil
 	}
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "consistency check failed with %d violations:", len(vs))
+	fmt.Fprintf(&b, "%s %d violations:", header, len(vs))
 	for i, v := range vs {
 		if i == 20 {
 			fmt.Fprintf(&b, "\n  … and %d more", len(vs)-i)

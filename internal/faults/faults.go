@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"futurebus/internal/core"
+	"futurebus/internal/obs/watch"
 )
 
 // Fault describes one injectable protocol bug.
@@ -27,10 +28,9 @@ type Fault struct {
 	// Name selects the fault in Wrap and in the "proto+fault" CLI
 	// syntax of fbsim.
 	Name string
-	// Expect is the invariant name (a watch.Invariant value) the
-	// monitor must report when this fault is exercised by a workload
-	// with read/write sharing.
-	Expect string
+	// Expect is the invariant the monitor must report when this fault
+	// is exercised by a workload with read/write sharing.
+	Expect core.Invariant
 	// Description says what the wrapper corrupts.
 	Description string
 }
@@ -44,7 +44,7 @@ var catalog = []struct {
 	{
 		Fault{
 			Name:   "drop-inv",
-			Expect: "real-exclusivity",
+			Expect: core.InvExclusivity,
 			Description: "unowned snoopers ignore read-for-ownership invalidations " +
 				"(column 6), leaving stale readers next to the new exclusive owner",
 		},
@@ -53,7 +53,7 @@ var catalog = []struct {
 	{
 		Fault{
 			Name:   "stale-owner",
-			Expect: "single-owner",
+			Expect: core.InvSingleOwner,
 			Description: "an owner snooping a read-for-ownership supplies the data " +
 				"but refuses to invalidate, so two caches end up owning the line",
 		},
@@ -62,7 +62,7 @@ var catalog = []struct {
 	{
 		Fault{
 			Name:   "corrupt-snoop",
-			Expect: "legal-snoop-action",
+			Expect: watch.InvLegalSnoop,
 			Description: "an owner snooping a cache read demotes itself to S instead " +
 				"of O — a transition outside its Table 2 column that silently " +
 				"abandons ownership of a line memory no longer has",
@@ -72,7 +72,7 @@ var catalog = []struct {
 	{
 		Fault{
 			Name:   "skip-copyback",
-			Expect: "legal-local-action",
+			Expect: watch.InvLegalLocal,
 			Description: "dirty evictions drop the line silently instead of " +
 				"writing it back, losing the only up-to-date copy",
 		},
@@ -81,7 +81,7 @@ var catalog = []struct {
 	{
 		Fault{
 			Name:   "mute-owner",
-			Expect: "memory-valid-iff-no-owner",
+			Expect: core.InvMemoryOwner,
 			Description: "an owner snooping a read miss keeps its state but does " +
 				"not intervene (no DI), so stale memory serves the reader",
 		},
@@ -90,7 +90,7 @@ var catalog = []struct {
 	{
 		Fault{
 			Name:   "phantom-fill",
-			Expect: "legal-local-action",
+			Expect: watch.InvLegalLocal,
 			Description: "read misses always install M, even when CH shows other " +
 				"caches hold the line",
 		},

@@ -3,9 +3,11 @@ package hierarchy
 import (
 	"bytes"
 	"fmt"
+	"sort"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/cache"
+	"futurebus/internal/check"
 	"futurebus/internal/core"
 )
 
@@ -26,7 +28,8 @@ func (v ClusterViolation) String() string {
 //  1. No cluster cache holds E or M — the bridge's unconditional CH
 //     pins every cluster line into the S/O pair, which is what keeps
 //     the bridge's copy current.
-//  2. At most one cluster cache owns (O) a line within the cluster.
+//  2. At most one cluster cache owns (O) a line within the cluster
+//     (core.InvSingleOwner), reported once per line.
 //  3. Inclusion: every line a cluster cache holds is tracked by its
 //     bridge.
 //  4. Currency: every valid cluster copy is byte-identical to the
@@ -50,19 +53,16 @@ func checkCluster(cl *Cluster) []ClusterViolation {
 		bridgeLines[addr] = data
 	})
 
-	owners := map[bus.Addr]int{}
+	census := map[bus.Addr]core.Census{}
 	for _, c := range cl.Caches {
 		id := c.ID()
 		c.ForEachLine(func(addr bus.Addr, st core.State, data []byte) {
 			if st == core.Exclusive || st == core.Modified {
 				bad(addr, "cache %d holds %s; the bridge's CH must pin cluster lines to S/O", id, st.Letter())
 			}
-			if st.OwnedCopy() {
-				owners[addr]++
-				if owners[addr] > 1 {
-					bad(addr, "multiple cluster owners")
-				}
-			}
+			lc := census[addr]
+			lc.Add(st, 1)
+			census[addr] = lc
 			bline, ok := bridgeLines[addr]
 			if !ok {
 				bad(addr, "cache %d holds a line the bridge does not track (inclusion broken)", id)
@@ -73,6 +73,16 @@ func checkCluster(cl *Cluster) []ClusterViolation {
 			}
 		})
 	}
+	// The bridge's copy stands in for memory and rule 4 checks it, so
+	// only the ownership rule is judged here.
+	n := len(out)
+	for addr, lc := range census {
+		if lc.Breaches(true).Has(core.InvSingleOwner) {
+			bad(addr, "%s: %d cluster caches own the line", core.InvSingleOwner, lc.Owners)
+		}
+	}
+	owned := out[n:]
+	sort.Slice(owned, func(i, j int) bool { return owned[i].Addr < owned[j].Addr })
 	return out
 }
 
@@ -86,19 +96,7 @@ func (s *System) MustPass() error {
 	if err := s.GlobalChecker().MustPass(); err != nil {
 		return fmt.Errorf("hierarchy global level: %w", err)
 	}
-	if vs := s.CheckClusters(); len(vs) > 0 {
-		var b bytes.Buffer
-		fmt.Fprintf(&b, "hierarchy cluster level: %d violations:", len(vs))
-		for i, v := range vs {
-			if i == 20 {
-				fmt.Fprintf(&b, "\n  … and %d more", len(vs)-i)
-				break
-			}
-			fmt.Fprintf(&b, "\n  %s", v)
-		}
-		return fmt.Errorf("%s", b.String())
-	}
-	return nil
+	return check.Failure("hierarchy cluster level:", s.CheckClusters())
 }
 
 // Stats aggregates traffic over the tree for the scaling experiment.

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"futurebus/internal/bus"
+	"futurebus/internal/cache"
 	"futurebus/internal/core"
+	"futurebus/internal/protocols"
 	"futurebus/internal/workload"
 )
 
@@ -362,5 +364,50 @@ func TestHierarchyConfigErrors(t *testing.T) {
 	}
 	if _, err := New(Config{Clusters: 1, ProcsPerCluster: 0}); err == nil {
 		t.Error("zero processors accepted")
+	}
+}
+
+// ownOnRead installs every read miss as Owned. An O snooper keeps its
+// copy, so a second reader of a line makes a second owner.
+type ownOnRead struct{ core.Policy }
+
+func (p ownOnRead) ChooseLocal(s core.State, e core.LocalEvent) (core.LocalAction, bool) {
+	if s == core.Invalid && e == core.LocalRead {
+		a, err := core.ParseLocalAction("O,CA,R")
+		return a, err == nil
+	}
+	return p.Policy.ChooseLocal(s, e)
+}
+
+// TestClusterCheckerDetectsDuplicateOwners: two cluster caches owning
+// two lines give one single-owner violation per line, in address order.
+func TestClusterCheckerDetectsDuplicateOwners(t *testing.T) {
+	sys := mustNew(t, smallConfig(1, 1))
+	cl := sys.Clusters[0]
+	base, err := protocols.New("moesi-update")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= 2; id++ {
+		c := cache.New(id, cl.Local, ownOnRead{base}, cache.Config{Sets: 8, Ways: 2})
+		cl.Caches = append(cl.Caches, c)
+		for _, addr := range []bus.Addr{9, 2} {
+			if _, err := c.ReadWord(addr, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var got []string
+	for _, v := range sys.CheckClusters() {
+		if strings.Contains(v.Reason, string(core.InvSingleOwner)) {
+			got = append(got, v.String())
+		}
+	}
+	want := []string{
+		"cluster 0 line 0x2: single-owner: 2 cluster caches own the line",
+		"cluster 0 line 0x9: single-owner: 2 cluster caches own the line",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("single-owner violations:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

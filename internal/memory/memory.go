@@ -1,6 +1,6 @@
 // Package memory implements the shared main-memory module of a
 // Futurebus system. Memory is the default owner of every line of the
-// address space (§3.1.3 of the paper), but it keeps no consistency
+// address space (core.InvMemoryOwner), but it keeps no consistency
 // state: "shared memory modules will not need to distinguish valid data
 // from invalid data; instead, caches associated with each master will
 // keep track of the invalidity of the data that resides in shared

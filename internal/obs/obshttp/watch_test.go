@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/leaktest"
 	"futurebus/internal/obs/watch"
@@ -61,7 +62,7 @@ func TestWatchSinkEndpointAndMetrics(t *testing.T) {
 	if err := json.Unmarshal([]byte(httpGet(t, srv.URL()+"/violations")), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Total == 0 || rep.ByInvariant[watch.InvSingleOwner] == 0 {
+	if rep.Total == 0 || rep.ByInvariant[core.InvSingleOwner] == 0 {
 		t.Fatalf("/violations missing the single-owner violation: %+v", rep)
 	}
 	if rep.First == nil || rep.First.Proc != 1 {

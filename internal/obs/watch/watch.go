@@ -28,24 +28,11 @@ import (
 	"futurebus/internal/obs"
 )
 
-// Invariant names one checked property. The names are stable: they are
-// metric label values, fbwatch output, and CI grep targets.
-type Invariant string
+// Invariant names one checked property: the three §3.1 rules of
+// core.Invariants, plus the legality and integrity checks below.
+type Invariant = core.Invariant
 
 const (
-	// InvSingleOwner — §3.1.3: at most one cache may own (M or O) a
-	// line; ownership is the responsibility for the line's accuracy.
-	InvSingleOwner Invariant = "single-owner"
-	// InvExclusivity — §3.1.2: a copy in an exclusive state (M or E)
-	// must really be the only cached copy; readers may only coexist
-	// with a shareable owner (O) or with each other.
-	InvExclusivity Invariant = "real-exclusivity"
-	// InvMemoryOwner — §3.1.4: main memory is the default owner, valid
-	// exactly when no cache owns the line. Operationally: a read must be
-	// served by intervention (DI) iff some other cache owned the line
-	// when the transaction started, and a plain write (column 9) must be
-	// captured by such an owner.
-	InvMemoryOwner Invariant = "memory-valid-iff-no-owner"
 	// InvLegalLocal — Table 1 (notes 9–12, §4 adaptations): a
 	// processor-side transition outside every permitted local action.
 	InvLegalLocal Invariant = "legal-local-action"
@@ -70,11 +57,8 @@ const (
 )
 
 // Invariants lists every invariant in reporting order.
-var Invariants = []Invariant{
-	InvSingleOwner, InvExclusivity, InvMemoryOwner,
-	InvLegalLocal, InvLegalSnoop, InvShadow,
-	InvPendingTx, InvProgress,
-}
+var Invariants = append(core.Invariants[:],
+	InvLegalLocal, InvLegalSnoop, InvShadow, InvPendingTx, InvProgress)
 
 // Config bounds the monitor's memory.
 type Config struct {
@@ -209,15 +193,15 @@ type pendEntry struct {
 }
 
 // line is the shadow of one (bus, address) pair: every board's copy
-// state, derived counts, the per-transaction owner snapshot, and the
+// state, their census, the per-transaction owner snapshot, and the
 // causal-context ring.
 type line struct {
-	states              []int8 // per proc; -1 = never seen (treated as I)
-	owners, excl, valid int
+	states []int8 // per proc; -1 = never seen (treated as I)
+	census core.Census
 	// txSnap / ownersAtSnap / ownerAtSnap capture the owner situation
 	// when the first event of a transaction touched this line — i.e.
-	// before its snoop commits applied — which is what the DI rule of
-	// §3.1.4 is stated against.
+	// before its snoop commits applied — which is what the DI form of
+	// core.InvMemoryOwner is checked against.
 	txSnap       uint64
 	ownersAtSnap int
 	ownerAtSnap  int
@@ -237,24 +221,11 @@ func (ln *line) setState(proc int, s core.State) {
 	for len(ln.states) <= proc {
 		ln.states = append(ln.states, -1)
 	}
-	old := ln.states[proc]
-	if old >= 0 {
-		ln.account(core.State(old), -1)
+	if old := ln.states[proc]; old >= 0 {
+		ln.census.Add(core.State(old), -1)
 	}
 	ln.states[proc] = int8(s)
-	ln.account(s, +1)
-}
-
-func (ln *line) account(s core.State, d int) {
-	if s.Valid() {
-		ln.valid += d
-	}
-	if s.OwnedCopy() {
-		ln.owners += d
-	}
-	if s.ExclusiveCopy() {
-		ln.excl += d
-	}
+	ln.census.Add(s, +1)
 }
 
 func (ln *line) snapshot(txid uint64) {
@@ -262,9 +233,9 @@ func (ln *line) snapshot(txid uint64) {
 		return
 	}
 	ln.txSnap = txid
-	ln.ownersAtSnap = ln.owners
+	ln.ownersAtSnap = ln.census.Owners
 	ln.ownerAtSnap = -1
-	if ln.owners > 0 {
+	if ln.census.Owners > 0 {
 		for p, s := range ln.states {
 			if s >= 0 && core.State(s).OwnedCopy() {
 				ln.ownerAtSnap = p
@@ -469,7 +440,7 @@ func (m *Monitor) reset() {
 	// context rings and states slices keep their capacity).
 	for _, ln := range m.lines {
 		ln.states = ln.states[:0]
-		ln.owners, ln.excl, ln.valid = 0, 0, 0
+		ln.census = core.Census{}
 		ln.txSnap, ln.ownersAtSnap, ln.ownerAtSnap = 0, 0, -1
 		ln.ring = ln.ring[:0]
 		ln.ringPos, ln.ringFull = 0, false
@@ -532,11 +503,11 @@ func (m *Monitor) consumeTx(e *obs.Event) {
 		ln.snapshot(e.TxID)
 	}
 
-	// §3.1.4, operationally: memory supplies (and accepts) data exactly
-	// when no cache owns the line; an owner must intervene on reads and
-	// capture non-broadcast plain writes. Broadcast transfers (SL) and
-	// pushes carry their own data path, so only columns 5–7 reads and
-	// column 9 writes are constrained.
+	// core.InvMemoryOwner, operationally: memory supplies (and accepts)
+	// data exactly when no cache owns the line; an owner must intervene
+	// on reads and capture non-broadcast plain writes. Broadcast
+	// transfers (SL) and pushes carry their own data path, so only
+	// columns 5–7 reads and column 9 writes are constrained.
 	foreign := ln.foreignOwner(e.Proc)
 	switch {
 	case e.Op == "R":
@@ -597,26 +568,21 @@ func (m *Monitor) consumeState(e *obs.Event) {
 		m.report(inv, e, ln, detail)
 	}
 
-	// Apply, then the structural §3.1 invariants.
+	// Apply, then judge the §3.1 rules the acting copy takes part in:
+	// single-owner if it is owned, real-exclusivity if it is valid.
 	ln.setState(e.Proc, to)
-	if to.OwnedCopy() && ln.owners > 1 {
-		m.report(InvSingleOwner, e, ln, fmt.Sprintf(
-			"%d caches own the line after this transition — §3.1.3 allows at most one", ln.owners))
+	if !to.Valid() {
+		return
 	}
-	if to.Valid() {
-		exclOthers := ln.excl
-		if to.ExclusiveCopy() {
-			exclOthers--
-		}
-		switch {
-		case to.ExclusiveCopy() && ln.valid > 1:
-			m.report(InvExclusivity, e, ln, fmt.Sprintf(
-				"copy became %s (exclusive) while %d cached copies exist — §3.1.2 requires it to be the only one",
-				to.Letter(), ln.valid))
-		case exclOthers > 0:
-			m.report(InvExclusivity, e, ln,
-				"copy became valid while another cache holds the line in an exclusive state (M/E)")
-		}
+	breaches := ln.census.Breaches(true)
+	if to.OwnedCopy() && breaches.Has(core.InvSingleOwner) {
+		m.report(core.InvSingleOwner, e, ln, fmt.Sprintf(
+			"%d caches own the line after this transition; at most one may", ln.census.Owners))
+	}
+	if breaches.Has(core.InvExclusivity) {
+		m.report(core.InvExclusivity, e, ln, fmt.Sprintf(
+			"copy became %s while %d cached copies exist and one of them is exclusive (M/E)",
+			to.Letter(), ln.census.Valid))
 	}
 }
 
@@ -753,7 +719,7 @@ func (m *Monitor) protoFor(e *obs.Event) string {
 
 func (m *Monitor) reportTx(e *obs.Event, ln *line, detail string) {
 	m.record(Violation{
-		Invariant: InvMemoryOwner, TS: e.TS, Bus: e.Bus, Proc: e.Proc,
+		Invariant: core.InvMemoryOwner, TS: e.TS, Bus: e.Bus, Proc: e.Proc,
 		Addr: e.Addr, Proto: m.protoFor(e), TxID: e.TxID,
 		Holders: ln.holders(), Detail: detail, Context: ln.context(),
 	})

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 )
 
@@ -103,7 +104,7 @@ func TestDualOwnersCaught(t *testing.T) {
 	r.tx(1, a, 6, "R", false, true, 2)
 	r.st(1, a, "I", "M", "fill", 2)
 
-	v := r.wantViolation(InvSingleOwner)
+	v := r.wantViolation(core.InvSingleOwner)
 	if v.Proc != 1 || v.Addr != a {
 		t.Fatalf("violation blames proc %d addr %#x, want 1/%#x", v.Proc, v.Addr, uint64(a))
 	}
@@ -125,7 +126,7 @@ func TestStaleReaderCaught(t *testing.T) {
 	r.tx(0, a, 6, "A", true, false, 3) // CH asserted: someone kept a copy
 	r.st(0, a, "S", "M", "write-upgrade", 3)
 
-	v := r.wantViolation(InvExclusivity)
+	v := r.wantViolation(core.InvExclusivity)
 	if v.Cause != "write-upgrade" {
 		t.Fatalf("blamed cause %q, want write-upgrade", v.Cause)
 	}
@@ -155,7 +156,7 @@ func TestMemoryServedStaleData(t *testing.T) {
 	// cache owns) supplied the data.
 	r.tx(1, a, 5, "R", false, false, 2)
 
-	v := r.wantViolation(InvMemoryOwner)
+	v := r.wantViolation(core.InvMemoryOwner)
 	if v.TxID != 2 || v.Proc != 1 {
 		t.Fatalf("violation blames tx %d proc %d, want 2/1", v.TxID, v.Proc)
 	}
@@ -169,7 +170,7 @@ func TestPhantomIntervention(t *testing.T) {
 	const a = 0x2350
 	// DI on a read of a line nobody owns.
 	r.tx(0, a, 5, "R", false, true, 1)
-	r.wantViolation(InvMemoryOwner)
+	r.wantViolation(core.InvMemoryOwner)
 }
 
 func TestSilentDirtyEviction(t *testing.T) {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"maps"
 	"testing"
 
+	"futurebus/internal/core"
 	"futurebus/internal/faults"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/watch"
@@ -57,24 +59,71 @@ func runWatched(t *testing.T, fault, engine string, shards, refs int) *watch.Rep
 	return mon.Report()
 }
 
+// detFaultCounts pins the deterministic engine's full per-invariant
+// violation counts for each catalog fault, at 1 and 4 shards, under
+// runWatched's 3000-reference workload. The counts are exact: a change
+// to how the monitor judges a line shows up here as a changed vector.
+var detFaultCounts = map[string][2]map[watch.Invariant]int64{
+	"corrupt-snoop": {
+		{watch.InvLegalSnoop: 88},
+		{watch.InvLegalSnoop: 91},
+	},
+	"drop-inv": {
+		{core.InvExclusivity: 39, core.InvSingleOwner: 2},
+		{core.InvExclusivity: 122, core.InvSingleOwner: 3},
+	},
+	"mute-owner": {
+		{core.InvMemoryOwner: 95},
+		{core.InvMemoryOwner: 100},
+	},
+	"phantom-fill": {
+		{watch.InvLegalLocal: 10, core.InvExclusivity: 11, core.InvSingleOwner: 7},
+		{watch.InvLegalLocal: 19, core.InvExclusivity: 20, core.InvSingleOwner: 8},
+	},
+	"skip-copyback": {
+		{watch.InvLegalLocal: 948},
+		{watch.InvLegalLocal: 946},
+	},
+	"stale-owner": {
+		{core.InvExclusivity: 16, core.InvSingleOwner: 16},
+		{core.InvExclusivity: 1, core.InvSingleOwner: 1},
+	},
+}
+
 // TestWatchDetectsEveryFault is the fault-injection proof: every fault
 // class in the internal/faults catalog must be caught by the runtime
 // monitor with the invariant the catalog names, on both engines, at 1
-// and 4 shards.
+// and 4 shards. On the deterministic engine the whole per-invariant
+// vector and the total are pinned (detFaultCounts).
 func TestWatchDetectsEveryFault(t *testing.T) {
 	for _, f := range faults.Catalog() {
 		for _, engine := range []string{"det", "conc"} {
-			for _, shards := range []int{1, 4} {
-				f, engine, shards := f, engine, shards
+			for si, shards := range []int{1, 4} {
+				f, engine, si, shards := f, engine, si, shards
 				t.Run(f.Name+"/"+engine+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
 					rep := runWatched(t, f.Name, engine, shards, 3000)
 					if rep.Total == 0 {
 						t.Fatalf("fault %s went undetected (%d states, %d txs checked)",
 							f.Name, rep.States, rep.Txs)
 					}
-					if rep.ByInvariant[watch.Invariant(f.Expect)] == 0 {
+					if rep.ByInvariant[f.Expect] == 0 {
 						t.Fatalf("fault %s detected, but not as %s: by-invariant %v (first: %v)",
 							f.Name, f.Expect, rep.ByInvariant, rep.First)
+					}
+					if engine != "det" {
+						return
+					}
+					want, ok := detFaultCounts[f.Name]
+					if !ok {
+						t.Fatalf("no pinned counts for fault %s: by-invariant %v", f.Name, rep.ByInvariant)
+					}
+					var total int64
+					for _, n := range want[si] {
+						total += n
+					}
+					if !maps.Equal(rep.ByInvariant, want[si]) || rep.Total != total {
+						t.Errorf("fault %s: total %d by-invariant %v, want total %d %v",
+							f.Name, rep.Total, rep.ByInvariant, total, want[si])
 					}
 				})
 			}

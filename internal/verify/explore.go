@@ -7,12 +7,12 @@ import (
 )
 
 // Explore runs the exhaustive check over all reachable states of a
-// system of the given boards (one choice of Chooser per board, at most
-// maxBoards). It returns the reachable-state count and every invariant
-// violation, each with a shortest event path from power-on.
-func Explore(boards []Chooser) Result {
+// system of the given boards (one choice of Chooser per board, 1 to
+// maxBoards of them). It returns the reachable-state count and every
+// invariant violation, each with a shortest event path from power-on.
+func Explore(boards []Chooser) (Result, error) {
 	if len(boards) == 0 || len(boards) > maxBoards {
-		panic(fmt.Sprintf("verify: need 1–%d boards, got %d", maxBoards, len(boards)))
+		return Result{}, fmt.Errorf("verify: need 1–%d boards, got %d", maxBoards, len(boards))
 	}
 	e := &explorer{boards: boards}
 	init := sysState{n: len(boards), memCurrent: true}
@@ -25,7 +25,7 @@ func Explore(boards []Chooser) Result {
 		e.queue = e.queue[1:]
 		e.expand(s)
 	}
-	return e.result
+	return e.result, nil
 }
 
 type explorer struct {
@@ -89,37 +89,22 @@ func (e *explorer) violate(s sysState, reason string) {
 	})
 }
 
-// checkInvariants applies the §3.1 invariants to one state.
+// checkInvariants judges one state by the §3.1 rules (core.Census) plus
+// the model's data rule: every valid copy holds the latest write.
 func (e *explorer) checkInvariants(s sysState) {
-	owners, valids := 0, 0
-	exclusiveAt := -1
+	var c core.Census
 	for i := 0; i < s.n; i++ {
 		b := s.boards[i]
-		if !b.state.Valid() {
-			continue
-		}
-		valids++
-		if b.state.OwnedCopy() {
-			owners++
-		}
-		if b.state.ExclusiveCopy() {
-			exclusiveAt = i
-		}
-		if !b.current {
+		c.Add(b.state, 1)
+		if b.state.Valid() && !b.current {
 			e.violate(s, fmt.Sprintf("board %d holds a stale %s copy (lost update)", i, b.state.Letter()))
 		}
-		if b.state == core.Exclusive && !s.memCurrent {
-			e.violate(s, fmt.Sprintf("board %d holds E but memory is stale (§3.1.2)", i))
+	}
+	breaches := c.Breaches(s.memCurrent)
+	for _, inv := range core.Invariants {
+		if breaches.Has(inv) {
+			e.violate(s, "breaks "+string(inv))
 		}
-	}
-	if owners > 1 {
-		e.violate(s, fmt.Sprintf("%d owners (§3.1.3: ownership is unique)", owners))
-	}
-	if exclusiveAt >= 0 && valids > 1 {
-		e.violate(s, fmt.Sprintf("board %d claims exclusivity but %d copies exist (§3.1.2)", exclusiveAt, valids))
-	}
-	if owners == 0 && !s.memCurrent {
-		e.violate(s, "no owner and memory stale (the shared image is lost, §3.1.3)")
 	}
 }
 

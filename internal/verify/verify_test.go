@@ -8,6 +8,16 @@ import (
 	"futurebus/internal/protocols"
 )
 
+// explore runs Explore on a valid board count.
+func explore(t *testing.T, boards []Chooser) Result {
+	t.Helper()
+	res, err := Explore(boards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestClassExhaustivelyConsistent is the compatibility theorem, proved
 // by exhaustion in the abstract model: two and three copy-back boards,
 // each free to take ANY class action at every instant, never reach a
@@ -18,7 +28,7 @@ func TestClassExhaustivelyConsistent(t *testing.T) {
 		for i := range boards {
 			boards[i] = ClassChooser{Variant: core.CopyBack}
 		}
-		res := Explore(boards)
+		res := explore(t, boards)
 		if !res.Ok() {
 			t.Fatalf("%d copy-back boards:\n%s", n, res)
 		}
@@ -32,7 +42,7 @@ func TestClassExhaustivelyConsistent(t *testing.T) {
 // TestClassWithWriteThroughAndUncached adds the * and ** variants of
 // Table 1 to the mix — still exhaustively consistent.
 func TestClassWithWriteThroughAndUncached(t *testing.T) {
-	res := Explore([]Chooser{
+	res := explore(t, []Chooser{
 		ClassChooser{Variant: core.CopyBack},
 		ClassChooser{Variant: core.CopyBack},
 		ClassChooser{Variant: core.WriteThrough},
@@ -63,7 +73,7 @@ func TestProtocolsSelfConsistent(t *testing.T) {
 				TableChooser{Table: p.Table()},
 				TableChooser{Table: p.Table()},
 			}
-			res := Explore(boards)
+			res := explore(t, boards)
 			if !res.Ok() {
 				t.Fatalf("%s:\n%s", name, res)
 			}
@@ -91,7 +101,7 @@ func TestClassMembersMixExhaustively(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := Explore([]Chooser{
+			res := explore(t, []Chooser{
 				TableChooser{Table: pa.Table()},
 				TableChooser{Table: pb.Table()},
 				TableChooser{Table: wt.Table()},
@@ -116,7 +126,7 @@ func TestWriteOnceHazardFound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Explore([]Chooser{
+	res := explore(t, []Chooser{
 		TableChooser{Table: wo.Table()},
 		TableChooser{Table: moesi.Table()},
 	})
@@ -125,7 +135,7 @@ func TestWriteOnceHazardFound(t *testing.T) {
 	}
 	found := false
 	for _, v := range res.Violations {
-		if strings.Contains(v.Reason, "memory is stale") || strings.Contains(v.Reason, "memory stale") {
+		if strings.Contains(v.Reason, string(core.InvMemoryOwner)) {
 			found = true
 			t.Logf("hazard witness:\n%s", v)
 			break
@@ -147,7 +157,7 @@ func TestFireflyHazardFound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Explore([]Chooser{
+	res := explore(t, []Chooser{
 		TableChooser{Table: ff.Table()},
 		TableChooser{Table: berk.Table()},
 	})
@@ -169,7 +179,7 @@ func TestSynapseMixesSafely(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Explore([]Chooser{
+		res := explore(t, []Chooser{
 			TableChooser{Table: syn.Table()},
 			TableChooser{Table: p.Table()},
 			ClassChooser{Variant: core.NonCaching},
@@ -193,7 +203,7 @@ func TestSynapseRefetchVariantSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Explore([]Chooser{
+	res := explore(t, []Chooser{
 		TableChooser{Table: refetch},
 		TableChooser{Table: refetch},
 		TableChooser{Table: moesi.Table()},
@@ -221,7 +231,7 @@ func (b brokenChooser) LocalChoices(s core.State, e core.LocalEvent) []core.Loca
 // TestBrokenPolicyCaught: the silent shared write produces a stale-copy
 // violation with a usable trace.
 func TestBrokenPolicyCaught(t *testing.T) {
-	res := Explore([]Chooser{
+	res := explore(t, []Chooser{
 		brokenChooser{ClassChooser{Variant: core.CopyBack}},
 		ClassChooser{Variant: core.CopyBack},
 	})
@@ -239,7 +249,7 @@ func TestBrokenPolicyCaught(t *testing.T) {
 // printed, columns 5–6 only) reach "—" cells on a full bus; the checker
 // reports exactly that instead of guessing.
 func TestIllegalCellReachedCaught(t *testing.T) {
-	res := Explore([]Chooser{
+	res := explore(t, []Chooser{
 		TableChooser{Table: core.PaperTable3()}, // partial: no col 7, no Flush
 		ClassChooser{Variant: core.NonCaching},  // generates col 7/9
 	})
@@ -259,7 +269,7 @@ func TestIllegalCellReachedCaught(t *testing.T) {
 
 // TestResultRendering: Result and Violation format usefully.
 func TestResultRendering(t *testing.T) {
-	res := Explore([]Chooser{ClassChooser{Variant: core.CopyBack}})
+	res := explore(t, []Chooser{ClassChooser{Variant: core.CopyBack}})
 	if !strings.Contains(res.String(), "verified") {
 		t.Errorf("ok result renders %q", res.String())
 	}
@@ -285,7 +295,7 @@ func TestWriteThroughMixesWithProtocolTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Explore([]Chooser{
+		res := explore(t, []Chooser{
 			TableChooser{Table: p.Table()},
 			TableChooser{Table: p.Table()},
 			TableChooser{Table: wt.Table()},
@@ -308,9 +318,106 @@ func TestFourWayProtocolMix(t *testing.T) {
 		}
 		boards[i] = TableChooser{Table: p.Table()}
 	}
-	res := Explore(boards)
+	res := explore(t, boards)
 	if !res.Ok() {
 		t.Fatalf("four-way mix:\n%s", res)
 	}
 	t.Logf("four-way mix: %s", res)
+}
+
+// TestExplorePinned pins every exploration moesi-verify runs at 2, 3
+// and 4 boards: reachable states, transitions, the number of distinct
+// violating states and the event path to the first violation. A
+// refactor of the checker must reach the same states and blame the same
+// ones.
+func TestExplorePinned(t *testing.T) {
+	class := func(n int) []Chooser {
+		boards := make([]Chooser, n)
+		for i := range boards {
+			boards[i] = ClassChooser{Variant: core.CopyBack}
+		}
+		return boards
+	}
+	tables := func(names ...string) []Chooser {
+		var boards []Chooser
+		for _, name := range names {
+			p, err := protocols.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boards = append(boards, TableChooser{Table: p.Table()})
+		}
+		return boards
+	}
+	pure := func(name string) []Chooser { return tables(name, name, name) }
+	for _, tc := range []struct {
+		name                string
+		boards              []Chooser
+		states, transitions int
+		violatingStates     int
+		witness             []string
+	}{
+		{"class-2", class(2), 18, 229, 0, nil},
+		{"class-3", class(3), 41, 1000, 0, nil},
+		{"class-4", class(4), 92, 4097, 0, nil},
+		{"class+wt+nc", []Chooser{
+			ClassChooser{Variant: core.CopyBack},
+			ClassChooser{Variant: core.CopyBack},
+			ClassChooser{Variant: core.WriteThrough},
+			ClassChooser{Variant: core.NonCaching},
+		}, 30, 858, 0, nil},
+		{"berkeley", pure("berkeley"), 23, 169, 0, nil},
+		{"dragon", pure("dragon"), 41, 253, 0, nil},
+		{"firefly", pure("firefly"), 14, 67, 0, nil},
+		{"illinois", pure("illinois"), 14, 91, 0, nil},
+		{"moesi", pure("moesi"), 41, 307, 0, nil},
+		{"moesi-adaptive", pure("moesi-adaptive"), 41, 400, 0, nil},
+		{"moesi-invalidate", pure("moesi-invalidate"), 26, 187, 0, nil},
+		{"moesi-update", pure("moesi-update"), 41, 253, 0, nil},
+		{"synapse", pure("synapse"), 11, 73, 0, nil},
+		{"write-once", pure("write-once"), 14, 97, 0, nil},
+		{"write-through", pure("write-through"), 8, 49, 0, nil},
+		{"write-through-broadcast", pure("write-through-broadcast"), 8, 49, 0, nil},
+		{"write-once×moesi", tables("write-once", "moesi"), 26, 129, 13, []string{
+			"board 1 write miss RFO (M,CA,IM,R)",
+			"board 0 read miss (S,CA,R, col 5)",
+			"board 0 write (E,CA,IM,W, col 6)",
+		}},
+		{"firefly×berkeley", tables("firefly", "berkeley"), 21, 93, 12, []string{
+			"board 1 write miss RFO (M,CA,IM,R)",
+			"board 0 read miss (CH:S/E,CA,R, col 5)",
+			"board 0 write (CH:S/E,CA,IM,BC,W, col 8)",
+		}},
+	} {
+		res := explore(t, tc.boards)
+		violating := map[uint32]bool{}
+		for _, v := range res.Violations {
+			violating[v.State.key()] = true
+		}
+		var witness []string
+		if len(res.Violations) > 0 {
+			witness = res.Violations[0].Trace
+		}
+		if res.States != tc.states || res.Transitions != tc.transitions ||
+			len(violating) != tc.violatingStates ||
+			strings.Join(witness, "\n") != strings.Join(tc.witness, "\n") {
+			t.Errorf("%s: %d states, %d transitions, %d violating states, witness %q; want %d, %d, %d, %q",
+				tc.name, res.States, res.Transitions, len(violating), witness,
+				tc.states, tc.transitions, tc.violatingStates, tc.witness)
+		}
+	}
+}
+
+// TestExploreRejectsBoardCount: a board count outside 1–4 is an error,
+// not a panic.
+func TestExploreRejectsBoardCount(t *testing.T) {
+	for _, n := range []int{0, 5} {
+		boards := make([]Chooser, n)
+		for i := range boards {
+			boards[i] = ClassChooser{Variant: core.CopyBack}
+		}
+		if _, err := Explore(boards); err == nil {
+			t.Errorf("%d boards: no error", n)
+		}
+	}
 }
