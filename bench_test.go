@@ -468,6 +468,40 @@ func BenchmarkCleanCommand(b *testing.B) {
 	}
 }
 
+// BenchmarkSnoopFanout measures one bus read by an unattached master
+// on a bus of k MOESI caches, with 0 or 2 of them holding the line.
+// The presence directory queries only the holders, so ns/op no longer
+// grows with k: the per-snooper slope of the address cycle is flat.
+func BenchmarkSnoopFanout(b *testing.B) {
+	const lines = 64 // fits every cache's 128 lines: holders stay holders
+	for _, k := range []int{4, 8, 16} {
+		for _, holders := range []int{0, 2} {
+			b.Run(fmt.Sprintf("snoopers=%d/holders=%d", k, holders), func(b *testing.B) {
+				sys, err := sim.New(sim.Homogeneous("moesi", k))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, c := range sys.Caches[:holders] {
+					for a := 0; a < lines; a++ {
+						if _, err := c.ReadWord(bus.Addr(a), 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				tx := bus.Transaction{MasterID: k, Op: core.BusRead}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tx.Addr = bus.Addr(i % lines)
+					if _, err := sys.Bus.Execute(&tx); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkCacheReadHit is the pure processor-side fast path.
 func BenchmarkCacheReadHit(b *testing.B) {
 	mem := memory.New(32)

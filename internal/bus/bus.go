@@ -3,7 +3,9 @@
 //
 //   - broadcast address cycles: every attached unit observes every
 //     address and must acknowledge it before the cycle completes, which
-//     gives any snooping cache time to signal an exception;
+//     gives any snooping cache time to signal an exception (every cycle
+//     is timed as a full broadcast; on the host, a presence directory
+//     asks only the caches that may hold the line);
 //   - open-collector wired-OR response lines (CH, DI, SL, BS), resolved
 //     per transaction, including the per-snooper "other units' CH" view
 //     a listening owner needs to resolve CH-conditional transitions;
@@ -52,6 +54,11 @@ type SnoopResponse struct {
 	State core.State
 	// Hit records whether the snooper held the line at all (for stats).
 	Hit bool
+	// Err, when non-nil, reports that the snooper cannot take part in
+	// the cycle (a "—" cell of Table 2: the paper's "not a legal case.
+	// error condition"). The bus cancels every directory it queried and
+	// fails the transaction with Err.
+	Err error
 }
 
 // Snooper is a unit that monitors broadcast address cycles (a cache).
@@ -68,6 +75,13 @@ type SnoopResponse struct {
 // In Commit, otherCH is the wired-OR of CH over all *other* units,
 // which resolves CH-conditional result states; write payloads (full
 // line or partial word) are read from the transaction itself.
+//
+// A snooper that implements Holder is queried only on address cycles
+// for lines it holds: its answer for any other line is the Invalid row
+// of Table 2, which changes nothing. It must then report every
+// valid↔invalid flip of its lines through its Presence handles, or the
+// bus will stop asking it about a line it still holds. Other snoopers
+// are queried on every address cycle.
 type Snooper interface {
 	SnooperID() int
 	Query(tx *Transaction) SnoopResponse
@@ -208,8 +222,18 @@ type Bus struct {
 	cfg      Config
 	memory   MemoryPort
 	snoopers []Snooper
-	arb      *Arbiter
-	stats    Stats
+	// ids[i] is snoopers[i].SnooperID(), read once at Attach.
+	ids []int
+	// always masks the slots below 64 that every address cycle queries:
+	// snoopers that are not Holders. dir records, for each line, the
+	// Holder slots below 64 that hold it. Slots from 64 up are always
+	// queried.
+	always uint64
+	dir    presence
+	// shard is this bus's index in its fabric (0 for a single bus).
+	shard int
+	arb   *Arbiter
+	stats Stats
 	// trace, when non-nil, receives every executed transaction; the
 	// Result it is handed lives in traced, so reporting it costs no
 	// allocation (nested transactions finish before their parent).
@@ -217,11 +241,11 @@ type Bus struct {
 	traced Result
 	// frames counts executeLocked calls in progress on this bus — BS
 	// recovery pushes, and transactions a memory port issues from
-	// inside a data phase, re-enter it. respBufs[f] is the address
-	// cycle's response buffer for frame f, grown on first use, so a
-	// nested cycle never overwrites responses its parent still needs.
-	frames   int
-	respBufs [][]SnoopResponse
+	// inside a data phase, re-enter it. cycles[f] is the address
+	// cycle's answer buffer for frame f, grown on first use, so a nested
+	// cycle never overwrites answers its parent still needs.
+	frames int
+	cycles [][]answer
 	// arbWait is the simulated time the current mastership spent
 	// waiting for the grant, measured against the recorder's occupancy
 	// clock in Acquire/Execute and consumed by the first transaction
@@ -243,6 +267,13 @@ type Bus struct {
 	// tenures that ended with their data phase still owed. Bounded by
 	// tenure.TableSize(); guarded by the arbiter lock.
 	pendTable []pendEntry
+}
+
+// answer is one queried snooper's part in an address cycle: its slot
+// and its response.
+type answer struct {
+	slot int
+	resp SnoopResponse
 }
 
 // New creates a bus with the given memory module.
@@ -319,13 +350,26 @@ func (b *Bus) Shard(i int) *Bus {
 
 // Attach registers a snooping unit. Units attach at configuration time,
 // before traffic starts; Attach is not safe concurrently with Execute.
+// A Holder in one of the first 64 slots joins the presence directory,
+// which grows here, never under traffic, to fit its capacity.
 func (b *Bus) Attach(s Snooper) {
-	for _, old := range b.snoopers {
-		if old.SnooperID() == s.SnooperID() {
-			panic(fmt.Sprintf("bus: duplicate snooper id %d", s.SnooperID()))
+	id := s.SnooperID()
+	for _, old := range b.ids {
+		if old == id {
+			panic(fmt.Sprintf("bus: duplicate snooper id %d", id))
 		}
 	}
+	slot := len(b.snoopers)
 	b.snoopers = append(b.snoopers, s)
+	b.ids = append(b.ids, id)
+	if slot >= 64 {
+		return
+	}
+	if h, ok := s.(Holder); ok {
+		b.dir.reserve(h.TrackPresence(Presence{dir: &b.dir, bit: 1 << uint(slot), shard: b.shard}))
+	} else {
+		b.always |= 1 << uint(slot)
+	}
 }
 
 // SetTrace installs a transaction observer (used by cmd/fbtrace and
@@ -508,15 +552,17 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 	if err := tx.check(b.cfg.LineSize); err != nil {
 		return Result{}, err
 	}
-	if b.frames == len(b.respBufs) {
-		b.respBufs = append(b.respBufs, nil)
+	if b.frames == len(b.cycles) {
+		b.cycles = append(b.cycles, nil)
 	}
-	if cap(b.respBufs[b.frames]) < len(b.snoopers) {
-		b.respBufs[b.frames] = make([]SnoopResponse, len(b.snoopers))
+	if cap(b.cycles[b.frames]) < len(b.snoopers) {
+		b.cycles[b.frames] = make([]answer, 0, len(b.snoopers))
 	}
-	responses := b.respBufs[b.frames][:len(b.snoopers)]
+	buf := b.cycles[b.frames]
 	b.frames++
 	defer func() { b.frames-- }()
+	// The master's own slot is never queried; resolve it once.
+	master := b.slotOf(tx.MasterID)
 	// The first transaction of a mastership absorbs the arbitration
 	// wait; nested recovery pushes and follow-on held transactions ran
 	// without re-arbitrating.
@@ -559,35 +605,39 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 		}
 		// Broadcast address cycle: every unit sees the address and
 		// proposes a response (§2.1). Query must be side-effect free.
-		// The master's own slot stays zero.
-		clear(responses)
+		// Only the units that may hold the line are asked; the rest
+		// would answer the Invalid row of Table 2.
+		asked := b.ask(buf[:0], tx.Addr, master)
 		busy := false
-		paranoidErr := ""
-		for i, s := range b.snoopers {
-			if s.SnooperID() == tx.MasterID {
-				continue
-			}
-			responses[i] = s.Query(tx)
-			if responses[i].Action.Abort != nil {
+		var failed error
+		for k := range asked {
+			i := asked[k].slot
+			r := b.snoopers[i].Query(tx)
+			asked[k].resp = r
+			if r.Action.Abort != nil {
 				busy = true
 			}
-			if b.cfg.Paranoid && responses[i].Hit && tx.Cmd == CmdNone && paranoidErr == "" {
-				verdict, reason := core.CheckSnoopAction(responses[i].State, tx.Event(), responses[i].Action)
+			if failed != nil {
+				continue
+			}
+			switch {
+			case r.Err != nil:
+				failed = r.Err
+			case !b.cfg.Paranoid:
+			case !r.Hit && b.filtered(i):
+				failed = staleHolder(b.ids[i], tx)
+			case r.Hit && tx.Cmd == CmdNone:
+				verdict, reason := core.CheckSnoopAction(r.State, tx.Event(), r.Action)
 				if verdict == core.NotInClass {
-					paranoidErr = fmt.Sprintf("bus: snooper %d asserted out-of-class action %s from state %s on col %d (%s) for %s",
-						s.SnooperID(), responses[i].Action, responses[i].State.Letter(), tx.Event().Column(), reason, tx)
+					failed = fmt.Errorf("bus: snooper %d asserted out-of-class action %s from state %s on col %d (%s) for %s",
+						b.ids[i], r.Action, r.State.Letter(), tx.Event().Column(), reason, tx)
 				}
 			}
 		}
-		if paranoidErr != "" {
+		if failed != nil {
 			// Release every directory before failing.
-			for i, s := range b.snoopers {
-				if s.SnooperID() == tx.MasterID {
-					continue
-				}
-				s.Cancel(tx, responses[i])
-			}
-			return res, errors.New(paranoidErr)
+			b.cancel(tx, asked)
+			return res, failed
 		}
 		// Every address cycle pays the full broadcast handshake; aborted
 		// attempts charge it to the retry phase, the successful one to
@@ -610,39 +660,35 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 					TxID: txid,
 				})
 			}
-			for i, s := range b.snoopers {
-				if s.SnooperID() == tx.MasterID {
+			b.cancel(tx, asked)
+			for _, an := range asked {
+				if an.resp.Action.Abort == nil {
 					continue
 				}
-				s.Cancel(tx, responses[i])
-			}
-			for i, s := range b.snoopers {
-				if responses[i].Action.Abort == nil {
-					continue
-				}
-				a, ok := s.(Aborter)
+				i := an.slot
+				a, ok := b.snoopers[i].(Aborter)
 				if !ok {
-					return res, fmt.Errorf("bus: snooper %d asserted BS without implementing Aborter", s.SnooperID())
+					return res, fmt.Errorf("bus: snooper %d asserted BS without implementing Aborter", b.ids[i])
 				}
 				if rec := b.cfg.Obs; rec != nil {
 					rec.Emit(obs.Event{
 						TS: rec.Clock(), Kind: obs.KindRecover, Bus: b.cfg.ObsID,
-						Proc: s.SnooperID(), Addr: uint64(tx.Addr),
+						Proc: b.ids[i], Addr: uint64(tx.Addr),
 						TxID: txid, CauseID: causeID,
 					})
 				}
 				prevCause := b.causeTx
 				b.causeTx = txid
-				err := a.Recover(b, tx, responses[i])
+				err := a.Recover(b, tx, an.resp)
 				b.causeTx = prevCause
 				if err != nil {
-					return res, fmt.Errorf("bus: BS recovery by snooper %d: %w", s.SnooperID(), err)
+					return res, fmt.Errorf("bus: BS recovery by snooper %d: %w", b.ids[i], err)
 				}
 			}
 			continue
 		}
 
-		r, err := b.completeAttempt(tx, responses)
+		r, err := b.completeAttempt(tx, asked)
 		if err != nil {
 			return res, err
 		}
@@ -686,17 +732,23 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 	}
 }
 
+// cancel releases the directory of every unit an aborted or failed
+// address cycle queried, without applying anything.
+func (b *Bus) cancel(tx *Transaction, asked []answer) {
+	for _, an := range asked {
+		b.snoopers[an.slot].Cancel(tx, an.resp)
+	}
+}
+
 // completeAttempt finishes a non-aborted transaction: resolves the
-// wired-OR response lines, routes data, and commits every snooper.
-func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Result, error) {
+// wired-OR response lines, routes data, and commits every queried
+// snooper.
+func (b *Bus) completeAttempt(tx *Transaction, asked []answer) (Result, error) {
 	var res Result
 	diCount, chCount := 0, 0
 	var diLine []byte
-	for i, s := range b.snoopers {
-		if s.SnooperID() == tx.MasterID {
-			continue
-		}
-		a := responses[i].Action
+	for k := range asked {
+		a := asked[k].resp.Action
 		if a.AssertCH {
 			res.CH = true
 			chCount++
@@ -707,7 +759,7 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 		if a.AssertDI {
 			res.DI = true
 			diCount++
-			diLine = responses[i].Line
+			diLine = asked[k].resp.Line
 		}
 	}
 	// Ownership is unique (core.InvSingleOwner): two simultaneous DI
@@ -716,12 +768,7 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 	// until Commit or Cancel, and leaking them would turn a reportable
 	// protocol bug into a whole-machine deadlock.
 	if diCount > 1 {
-		for i, s := range b.snoopers {
-			if s.SnooperID() == tx.MasterID {
-				continue
-			}
-			s.Cancel(tx, responses[i])
-		}
+		b.cancel(tx, asked)
 		return res, fmt.Errorf("bus: %d units asserted DI for %s — duplicate owners", diCount, tx)
 	}
 
@@ -736,17 +783,16 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 	// Each snooper resolves CH-conditional states against the CH of
 	// the *other* units (§3.2.2 — the listener does not assert, so the
 	// wired-OR it observes is exactly the others'): the asserters
-	// counted above, less itself.
-	for i, s := range b.snoopers {
-		if s.SnooperID() == tx.MasterID {
-			continue
-		}
+	// counted above, less itself. A unit left out of the cycle holds no
+	// copy and asserts nothing, so the count is the full bus's.
+	for k := range asked {
+		an := &asked[k]
 		others := chCount
-		if responses[i].Action.AssertCH {
+		if an.resp.Action.AssertCH {
 			others--
 		}
-		s.Commit(tx, responses[i], others > 0)
-		if responses[i].Action.AssertSL && tx.Op == core.BusWrite {
+		b.snoopers[an.slot].Commit(tx, an.resp, others > 0)
+		if an.resp.Action.AssertSL && tx.Op == core.BusWrite {
 			b.stats.Updates++
 		}
 	}

@@ -124,7 +124,9 @@ func NewInterleaved(mems []MemoryPort, cfg InterleavedConfig) *Interleaved {
 		sc := cfg.Config
 		sc.Arbiter = newShardArbiter(i, cfg.Shards)
 		sc.ObsID = cfg.ObsID + i
-		f.shards = append(f.shards, New(mems[i], sc))
+		b := New(mems[i], sc)
+		b.shard = i
+		f.shards = append(f.shards, b)
 	}
 	return f
 }

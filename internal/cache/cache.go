@@ -107,6 +107,9 @@ type Cache struct {
 	// by set number, and set s is guarded by shards[(s/gran)%nshards].
 	shards []cacheShard
 	sets   [][]line
+	// presence[s] is the cache's handle on fabric shard s's presence
+	// directory, told of every valid↔invalid flip (see setStateTx).
+	presence []bus.Presence
 
 	// stall is the running total of simulated bus time this cache's
 	// processor spent on its own transactions — the one definition of
@@ -214,6 +217,9 @@ func (c *Cache) setState(sh *cacheShard, l *line, next core.State, cause string)
 func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause string, txid uint64) {
 	if l.state == next {
 		return
+	}
+	if l.state.Valid() != next.Valid() {
+		c.presence[c.home(l.addr)].Note(l.addr, next.Valid())
 	}
 	sh.stats.Transitions[l.state][next]++
 	if rec := c.obs; rec != nil {
@@ -330,6 +336,7 @@ func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
 		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()),
 	}
 	c.shards = make([]cacheShard, c.nshards)
+	c.presence = make([]bus.Presence, c.nshards)
 	// One backing array for every set: a single allocation at setup.
 	ways := make([]line, cfg.Sets*cfg.Ways)
 	c.sets = make([][]line, cfg.Sets)
@@ -342,6 +349,13 @@ func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
 
 // ID returns the cache's bus master id.
 func (c *Cache) ID() int { return c.id }
+
+// TrackPresence implements bus.Holder: the cache keeps p, and can hold
+// Ways lines in each of the Sets/shards sets homed on p's shard.
+func (c *Cache) TrackPresence(p bus.Presence) int {
+	c.presence[p.Shard()] = p
+	return c.cfg.Sets / int(c.nshards) * c.cfg.Ways
+}
 
 // LineSize returns the system line size the cache operates on.
 func (c *Cache) LineSize() int { return c.bus.LineSize() }

@@ -39,6 +39,9 @@ type SectorCache struct {
 	// the shard homing that set's sectors.
 	shards []sectorShard
 	sets   [][]sectorEntry
+	// presence[s] is the handle on shard s's presence directory (see
+	// Cache.presence).
+	presence []bus.Presence
 
 	// stall is the running stall total (see Cache.stall).
 	stall atomic.Int64
@@ -168,6 +171,7 @@ func NewSector(id int, b bus.Fabric, policy core.Policy, cfg SectorConfig) *Sect
 		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()),
 	}
 	c.shards = make([]sectorShard, c.nshards)
+	c.presence = make([]bus.Presence, c.nshards)
 	c.sets = make([][]sectorEntry, cfg.Sets)
 	for i := range c.sets {
 		ways := make([]sectorEntry, cfg.Ways)
@@ -182,6 +186,13 @@ func NewSector(id int, b bus.Fabric, policy core.Policy, cfg SectorConfig) *Sect
 
 // ID returns the bus master id.
 func (c *SectorCache) ID() int { return c.id }
+
+// TrackPresence implements bus.Holder: SubSectors lines in each of
+// Ways sectors of the Sets/shards sets homed on p's shard.
+func (c *SectorCache) TrackPresence(p bus.Presence) int {
+	c.presence[p.Shard()] = p
+	return c.cfg.Sets / int(c.nshards) * c.cfg.Ways * c.cfg.SubSectors
+}
 
 // home maps a line address to its fabric shard (see Cache.home).
 func (c *SectorCache) home(addr bus.Addr) int {
@@ -254,6 +265,9 @@ func (c *SectorCache) noteStall(addr bus.Addr, cost int64) {
 func (c *SectorCache) setSubState(sh *sectorShard, addr bus.Addr, s *sub, next core.State, cause string, txid uint64) {
 	if s.state == next {
 		return
+	}
+	if s.state.Valid() != next.Valid() {
+		c.presence[c.home(addr)].Note(addr, next.Valid())
 	}
 	sh.stats.Transitions[s.state][next]++
 	if rec := c.obs; rec != nil {
@@ -602,8 +616,10 @@ func (c *SectorCache) allocateSector(addr bus.Addr) error {
 	}
 	victim.valid = true
 	victim.tag = tag
+	// Every sub-sector is Invalid already: an evicted sector's were
+	// invalidated above, through setSubState and so the presence
+	// directory, and an entry never used before starts Invalid.
 	for si := range victim.subs {
-		victim.subs[si].state = core.Invalid
 		if victim.subs[si].data == nil {
 			victim.subs[si].data = make([]byte, c.bus.LineSize())
 		}

@@ -41,10 +41,13 @@ func (c *SectorCache) Query(tx *bus.Transaction) bus.SnoopResponse {
 			Hit:    true,
 		}
 	}
-	action, ok := c.policy.ChooseSnoop(e.subs[si].state, tx.Event())
+	event := tx.Event()
+	action, ok := c.policy.ChooseSnoop(e.subs[si].state, event)
 	if !ok {
-		panic(fmt.Sprintf("sector cache %d (%s): illegal bus event col %d in state %s for %s",
-			c.id, c.policy.Name(), tx.Event().Column(), e.subs[si].state, tx))
+		// A "—" cell fails the transaction (see Cache.Query).
+		return bus.SnoopResponse{State: e.subs[si].state, Hit: true, Err: fmt.Errorf(
+			"sector cache %d (%s): illegal bus event col %d (%s) in state %s for %s",
+			c.id, c.policy.Name(), event.Column(), event, e.subs[si].state, tx)}
 	}
 	resp := bus.SnoopResponse{Action: action, State: e.subs[si].state, Hit: true}
 	if action.AssertDI {

@@ -50,9 +50,10 @@ func (c *Cache) Query(tx *bus.Transaction) bus.SnoopResponse {
 	if !ok {
 		// A "—" cell: the paper marks these "not a legal case. error
 		// condition" — reaching one means a protocol (or protocol mix)
-		// violated the class, so fail loudly.
-		panic(fmt.Sprintf("cache %d (%s): illegal bus event col %d (%s) in state %s for %s",
-			c.id, policy.Name(), event.Column(), event, l.state, tx))
+		// violated the class, so the transaction fails with it.
+		return bus.SnoopResponse{State: l.state, Hit: true, Err: fmt.Errorf(
+			"cache %d (%s): illegal bus event col %d (%s) in state %s for %s",
+			c.id, policy.Name(), event.Column(), event, l.state, tx)}
 	}
 	resp := bus.SnoopResponse{Action: action, State: l.state, Hit: true}
 	if action.AssertDI {

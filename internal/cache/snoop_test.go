@@ -112,34 +112,41 @@ func TestSnoopColumn9InvalidatesSharers(t *testing.T) {
 	}
 }
 
-// TestSnoopIllegalColumnPanics: a "—" cell is an error condition; the
-// snooper fails loudly instead of guessing.
-func TestSnoopIllegalColumnPanics(t *testing.T) {
-	// Build a deliberately-broken policy: M on column 8 is illegal, so
-	// force it by having a cache in M while another broadcasts. A
-	// correct class mix can't produce it, so we drive the bus by hand.
+// TestSnoopIllegalColumnErrors: a "—" cell is an error condition; the
+// snooper fails the transaction with an error naming the cache, its
+// protocol, state, column and the transaction, instead of guessing, and
+// the bus releases its directory so the cache stays usable.
+func TestSnoopIllegalColumnErrors(t *testing.T) {
+	// M on column 8 is illegal: force it by having a cache in M while
+	// another unit broadcasts. A correct class mix can't produce it, so
+	// we drive the bus by hand.
 	mem := memory.New(testLineSize)
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	c := New(0, b, protocols.MOESI(), smallCfg())
 	mustWrite(t, c, 6, 0, 1) // c holds M
 
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("illegal column did not panic")
-		}
-		if !strings.Contains(r.(string), "col 8") {
-			t.Errorf("panic message: %v", r)
-		}
-	}()
 	// A forged column-8 broadcast write against an M holder.
-	_, _ = b.Execute(&bus.Transaction{
+	tx := &bus.Transaction{
 		MasterID: 99,
 		Signals:  core.SigCA | core.SigIM | core.SigBC,
 		Op:       core.BusWrite,
 		Addr:     6,
 		Partial:  &bus.PartialWrite{Word: 0, Val: 2},
-	})
+	}
+	_, err := b.Execute(tx)
+	if err == nil {
+		t.Fatal("illegal column did not fail the transaction")
+	}
+	for _, want := range []string{"cache 0", "(MOESI)", "col 8", "(CA,IM,BC)", "in state Modified", tx.String()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	// The directory was released and left unchanged.
+	if got := c.State(6); got != core.Modified {
+		t.Errorf("state after failed snoop = %s, want Modified", got)
+	}
+	mustRead(t, c, 6, 0)
 }
 
 // TestAdaptiveRecency: the §5.2 adaptive policy updates the MRU line
