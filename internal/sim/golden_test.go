@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"sort"
 	"testing"
 
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/coherence"
 	"futurebus/internal/obs/perf"
 	"futurebus/internal/obs/watch"
 )
@@ -25,6 +27,35 @@ const (
 	goldenCellTrace    = "505ce21d4a3b84a91cd4bf7e0b162a30772041d836d45e885bdf1dd65ccb7ee7"
 	goldenCellMetrics  = "9b33f2edb19b4ff207ed8d1c8db68d93cf6876657bec7ffd0f4077eddc1d10ef"
 )
+
+// Export and analyzer goldens of the mixed run: every byte the event
+// stream turns into outside the .fbt — the JSONL and Chrome exports,
+// the audit text of every line, and the JSON of the watch report, the
+// perf snapshot and the coherence analysis. They were captured before
+// the event layout and the drain were reworked, and pin that the
+// sinks' output did not move with them.
+const (
+	goldenMixedJSONL     = "674487bdeb637769b689263f2a66c15c60aac81f896fe70cb23bb1eb1eab7af7"
+	goldenMixedChrome    = "b4c6ceebc997ab9a8a49a2af091c5a547eb344e2b2811e722739d375831c5030"
+	goldenMixedAudit     = "db14ac6e82a6c8e52905a437c131bd3dc5f6bb572dec0622054acde540c1b2b3"
+	goldenMixedWatch     = "e44b7fdb7a58a917c41ca26e12f826b08de9e996b51e6c06f887cdb9cc2017d5"
+	goldenMixedPerf      = "e5838d38cac76313bdabe1cf74b0c337d8a99ec4da8adb6ef7a68499945aea96"
+	goldenMixedCoherence = "5779c65a0bb736ea0e692e20304904c3c878438501a5214e04ae56356923f402"
+)
+
+func sha(b []byte) string {
+	d := sha256.Sum256(b)
+	return hex.EncodeToString(d[:])
+}
+
+func jsonSHA(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sha(b)
+}
 
 // goldenDigests returns the hex SHA-256 of a recorded stream and of the
 // run's Metrics.
@@ -50,9 +81,15 @@ func checkGolden(t *testing.T, what, got, want string) {
 // 4-shard fabric with split tenure and round-robin arbitration, traced
 // through the record, watch and perf sinks.
 func TestDeterminismGoldenMixed(t *testing.T) {
-	var buf bytes.Buffer
+	var buf, jsonl, chrome bytes.Buffer
 	mon := watch.New(watch.Config{})
-	rec := obs.New(obs.NewRecordSink(&buf, obs.TraceMeta{Fingerprint: "golden mixed"}), mon, perf.NewSink(0))
+	ps := perf.NewSink(0)
+	var an coherence.Analyzer
+	audit := obs.NewLineAuditSink(0)
+	addrs := map[uint64]bool{}
+	rec := obs.New(obs.NewRecordSink(&buf, obs.TraceMeta{Fingerprint: "golden mixed"}), mon, ps,
+		obs.NewJSONLSink(&jsonl), obs.NewChromeTraceSink(&chrome), audit, &an,
+		obs.SinkFunc(func(e *obs.Event) { addrs[e.Addr] = true }))
 	cfg := Config{
 		Boards: []BoardSpec{
 			{Protocol: "moesi"}, {Protocol: "dragon"}, {Protocol: "berkeley"}, {Protocol: "illinois"},
@@ -87,6 +124,22 @@ func TestDeterminismGoldenMixed(t *testing.T) {
 	tr, mt := goldenDigests(t, buf.Bytes(), m)
 	checkGolden(t, "mixed .fbt", tr, goldenMixedTrace)
 	checkGolden(t, "mixed Metrics", mt, goldenMixedMetrics)
+
+	lines := make([]uint64, 0, len(addrs))
+	for a := range addrs {
+		lines = append(lines, a)
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	var trail bytes.Buffer
+	for _, a := range lines {
+		trail.WriteString(audit.Explain(a))
+	}
+	checkGolden(t, "mixed JSONL", sha(jsonl.Bytes()), goldenMixedJSONL)
+	checkGolden(t, "mixed Chrome trace", sha(chrome.Bytes()), goldenMixedChrome)
+	checkGolden(t, "mixed audit text", sha(trail.Bytes()), goldenMixedAudit)
+	checkGolden(t, "mixed watch report", jsonSHA(t, mon.Report()), goldenMixedWatch)
+	checkGolden(t, "mixed perf snapshot", jsonSHA(t, ps.Snapshot()), goldenMixedPerf)
+	checkGolden(t, "mixed coherence analysis", jsonSHA(t, an.Analyze(0)), goldenMixedCoherence)
 }
 
 // TestDeterminismGoldenBatteryCell: one P1 cell (4×moesi on the
