@@ -350,8 +350,8 @@ func (b *Bus) Shard(i int) *Bus {
 
 // Attach registers a snooping unit. Units attach at configuration time,
 // before traffic starts; Attach is not safe concurrently with Execute.
-// A Holder in one of the first 64 slots joins the presence directory,
-// which grows here, never under traffic, to fit its capacity.
+// A Holder in one of the first 64 slots joins the presence directory;
+// Seal sizes the directory for all of them.
 func (b *Bus) Attach(s Snooper) {
 	id := s.SnooperID()
 	for _, old := range b.ids {
@@ -371,6 +371,11 @@ func (b *Bus) Attach(s Snooper) {
 		b.always |= 1 << uint(slot)
 	}
 }
+
+// Seal ends configuration: it sizes the presence directory once, for
+// every holder attached, so no table is grown and dropped on the way.
+// A bus nobody sealed seals itself at its first address cycle.
+func (b *Bus) Seal() { b.dir.seal() }
 
 // SetTrace installs a transaction observer (used by cmd/fbtrace and
 // tests). Must be set before traffic starts. Both pointers are valid
@@ -495,8 +500,8 @@ func (b *Bus) drainOneLocked(force bool) bool {
 		// the pending-wait edge to the tenure it queued behind.
 		begin := rec.Advance(e.beats)
 		rec.Emit(obs.Event{
-			TS: begin, Dur: e.beats, Kind: obs.KindData, Bus: b.cfg.ObsID,
-			Proc: e.master, Addr: uint64(e.addr), DeferNS: e.beats,
+			TS: begin, Dur: e.beats, Kind: obs.KindData, Bus: int16(b.cfg.ObsID),
+			Proc: int32(e.master), Addr: uint64(e.addr), DeferNS: e.beats,
 			TxID: e.txid, CauseID: b.arb.lastTx.Load(),
 		})
 	}
@@ -519,8 +524,8 @@ func (b *Bus) deferDataLocked(tx *Transaction, r *Result, txid uint64) {
 		b.stats.Nacks++
 		if rec := b.cfg.Obs; rec != nil {
 			rec.Emit(obs.Event{
-				TS: rec.Clock(), Dur: addrCost, Kind: obs.KindNack, Bus: b.cfg.ObsID,
-				Proc: tx.MasterID, Addr: uint64(tx.Addr), Col: tx.Event().Column(),
+				TS: rec.Clock(), Dur: addrCost, Kind: obs.KindNack, Bus: int16(b.cfg.ObsID),
+				Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int16(tx.Event().Column()),
 				TxID: txid,
 			})
 		}
@@ -535,8 +540,8 @@ func (b *Bus) deferDataLocked(tx *Transaction, r *Result, txid uint64) {
 	})
 	if rec := b.cfg.Obs; rec != nil {
 		rec.Emit(obs.Event{
-			TS: rec.Clock(), Dur: r.Phases.Pend, Kind: obs.KindPend, Bus: b.cfg.ObsID,
-			Proc: tx.MasterID, Addr: uint64(tx.Addr), Op: opLetter(tx.Op),
+			TS: rec.Clock(), Dur: r.Phases.Pend, Kind: obs.KindPend, Bus: int16(b.cfg.ObsID),
+			Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Op: opLetter(tx.Op),
 			PendNS: r.Phases.Pend, TxID: txid,
 		})
 	}
@@ -552,6 +557,7 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 	if err := tx.check(b.cfg.LineSize); err != nil {
 		return Result{}, err
 	}
+	b.dir.seal()
 	if b.frames == len(b.cycles) {
 		b.cycles = append(b.cycles, nil)
 	}
@@ -581,8 +587,8 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 			blocker = b.arbBlocker
 		}
 		rec.Emit(obs.Event{
-			TS: rec.Clock(), Dur: arbWait, Kind: obs.KindGrant, Bus: b.cfg.ObsID,
-			Proc: tx.MasterID, Addr: uint64(tx.Addr), Col: tx.Event().Column(),
+			TS: rec.Clock(), Dur: arbWait, Kind: obs.KindGrant, Bus: int16(b.cfg.ObsID),
+			Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int16(tx.Event().Column()),
 			TxID: txid, CauseID: blocker,
 		})
 	}
@@ -596,9 +602,9 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 			b.stats.RetryExhausted++
 			if rec := b.cfg.Obs; rec != nil {
 				rec.Emit(obs.Event{
-					TS: rec.Clock(), Kind: obs.KindRetryExhausted, Bus: b.cfg.ObsID,
-					Proc: tx.MasterID, Addr: uint64(tx.Addr), Col: tx.Event().Column(),
-					Retries: res.Retries, TxID: txid, CauseID: causeID,
+					TS: rec.Clock(), Kind: obs.KindRetryExhausted, Bus: int16(b.cfg.ObsID),
+					Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int16(tx.Event().Column()),
+					Retries: int32(res.Retries), TxID: txid, CauseID: causeID,
 				})
 			}
 			return res, fmt.Errorf("%w: %s", ErrTooManyRetries, tx)
@@ -655,8 +661,8 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 			b.stats.Aborts++
 			if rec := b.cfg.Obs; rec != nil {
 				rec.Emit(obs.Event{
-					TS: rec.Clock(), Kind: obs.KindAbort, Bus: b.cfg.ObsID,
-					Proc: tx.MasterID, Addr: uint64(tx.Addr), Col: tx.Event().Column(),
+					TS: rec.Clock(), Kind: obs.KindAbort, Bus: int16(b.cfg.ObsID),
+					Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int16(tx.Event().Column()),
 					TxID: txid,
 				})
 			}
@@ -672,8 +678,8 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 				}
 				if rec := b.cfg.Obs; rec != nil {
 					rec.Emit(obs.Event{
-						TS: rec.Clock(), Kind: obs.KindRecover, Bus: b.cfg.ObsID,
-						Proc: b.ids[i], Addr: uint64(tx.Addr),
+						TS: rec.Clock(), Kind: obs.KindRecover, Bus: int16(b.cfg.ObsID),
+						Proc: int32(b.ids[i]), Addr: uint64(tx.Addr),
 						TxID: txid, CauseID: causeID,
 					})
 				}
@@ -712,11 +718,11 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 			// transaction's slice spans [begin, begin+Cost).
 			begin := rec.Advance(r.Cost)
 			rec.Emit(obs.Event{
-				TS: begin, Dur: r.Cost, Kind: obs.KindTx, Bus: b.cfg.ObsID,
-				Proc: tx.MasterID, Addr: uint64(tx.Addr),
-				Col: tx.Event().Column(), Op: opLetter(tx.Op),
+				TS: begin, Dur: r.Cost, Kind: obs.KindTx, Bus: int16(b.cfg.ObsID),
+				Proc: int32(tx.MasterID), Addr: uint64(tx.Addr),
+				Col: int16(tx.Event().Column()), Op: opLetter(tx.Op),
 				CH: r.CH, DI: r.DI, SL: r.SL,
-				Retries: r.Retries, Bytes: txBytes(tx, b.cfg.LineSize),
+				Retries: int32(r.Retries), Bytes: int32(txBytes(tx, b.cfg.LineSize)),
 				ArbNS: r.Phases.Arb, AddrNS: r.Phases.Addr,
 				DataNS: r.Phases.Data, IntvNS: r.Phases.Intervention,
 				MemNS: r.Phases.Memory, RetryNS: r.Phases.Retry,

@@ -26,6 +26,8 @@ type Fabric interface {
 	// exactly one shard, so snooping all shards is exactly snooping
 	// every line once). Configuration time only.
 	Attach(s Snooper)
+	// Seal ends configuration after the last Attach (see Bus.Seal).
+	Seal()
 	// Execute runs one transaction on the home shard of tx.Addr.
 	Execute(tx *Transaction) (Result, error)
 	// Acquire blocks until the home shard of addr grants mastership to
@@ -138,6 +140,13 @@ func (f *Interleaved) HomeShard(addr Addr) int {
 
 // home returns addr's shard bus.
 func (f *Interleaved) home(addr Addr) *Bus { return f.shards[f.HomeShard(addr)] }
+
+// Seal seals every shard.
+func (f *Interleaved) Seal() {
+	for _, b := range f.shards {
+		b.Seal()
+	}
+}
 
 // Attach registers the snooper on every shard, in shard order, so all
 // shards share one attach ordering (their concurrent snoop sweeps then

@@ -78,13 +78,13 @@ type presence struct {
 	lines, capacity int
 }
 
-// reserve accounts for a holder of n more lines, growing the table to
-// keep its load at most ½. It runs at Attach; the table is still empty
-// then, so growing costs one allocation and no rehash.
-func (d *presence) reserve(n int) {
-	d.capacity += n
-	d.grow(2 * d.capacity)
-}
+// reserve accounts for a holder of n more lines. It runs at Attach and
+// allocates nothing: seal sizes the table once the last holder is in.
+func (d *presence) reserve(n int) { d.capacity += n }
+
+// seal sizes the table for every reserved line at a load of at most ½:
+// one allocation, made before traffic. Sealing again costs a compare.
+func (d *presence) seal() { d.grow(2 * d.capacity) }
 
 // grow resizes the table to the smallest power of two of at least
 // want entries, rehashing whatever it holds.
@@ -130,9 +130,10 @@ func (d *presence) holders(addr Addr) uint64 {
 // add sets bit in addr's holder mask, inserting the line if absent.
 func (d *presence) add(addr Addr, bit uint64) {
 	if 2*(d.lines+1) > len(d.table) {
-		// Unreachable while holders report within their capacity; a
+		// Before the bus is sealed, this seals it. Past that,
+		// unreachable while holders report within their capacity; a
 		// holder that overruns it costs a rehash, never a lost line.
-		d.grow(2 * (d.lines + 1))
+		d.grow(max(2*d.capacity, 2*(d.lines+1)))
 	}
 	mask := len(d.table) - 1
 	for i := d.slot(addr); ; i = (i + 1) & mask {

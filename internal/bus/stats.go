@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"futurebus/internal/core"
+	"futurebus/internal/obs"
 )
 
 // Stats accumulates per-bus counters. All fields are totals since the
@@ -76,14 +77,14 @@ func txBytes(tx *Transaction, lineSize int) int {
 }
 
 // opLetter abbreviates the data phase for event streams.
-func opLetter(op core.BusOp) string {
+func opLetter(op core.BusOp) obs.Sym {
 	switch op {
 	case core.BusRead:
-		return "R"
+		return obs.OpRead
 	case core.BusWrite:
-		return "W"
+		return obs.OpWrite
 	default:
-		return "A"
+		return obs.OpAddrOnly
 	}
 }
 

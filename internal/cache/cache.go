@@ -66,16 +66,30 @@ type Region struct {
 	Policy core.Policy
 }
 
-// policyFor returns the policy governing an address (§3.4 selective
-// use). Safe without c.mu: regions are fixed at construction.
-func (c *Cache) policyFor(addr bus.Addr) core.Policy {
+// region returns the index of the region holding addr, or -1. Safe
+// without a lock: regions are fixed at construction.
+func (c *Cache) region(addr bus.Addr) int {
 	for i := range c.cfg.Regions {
-		r := &c.cfg.Regions[i]
-		if addr >= r.Start && addr < r.End {
-			return r.Policy
+		if r := &c.cfg.Regions[i]; addr >= r.Start && addr < r.End {
+			return i
 		}
 	}
+	return -1
+}
+
+// policyFor returns the policy governing an address (§3.4 selective
+// use).
+func (c *Cache) policyFor(addr bus.Addr) core.Policy {
+	if i := c.region(addr); i >= 0 {
+		return c.cfg.Regions[i].Policy
+	}
 	return c.policy
+}
+
+// protoFor returns the symbol of policyFor(addr)'s name, interned once
+// at construction: a traced transition costs no name building.
+func (c *Cache) protoFor(addr bus.Addr) obs.Sym {
+	return c.protos[c.region(addr)+1]
 }
 
 // DefaultConfig is a small cache that misses often enough to exercise
@@ -99,6 +113,9 @@ type Cache struct {
 	// obs is inherited from the fabric at construction: one recorder
 	// instruments the whole fabric. Nil obs = tracing off.
 	obs *obs.Recorder
+	// protos are the protocol name symbols of the main policy and of
+	// each region, in that order (set only when tracing).
+	protos []obs.Sym
 	// nshards/gran mirror the fabric's interleave parameters so the
 	// hot path maps an address to its shard without an interface call.
 	nshards, gran uint64
@@ -206,7 +223,7 @@ func (c *Cache) shard(addr bus.Addr) *cacheShard { return &c.shards[c.home(addr)
 // setState records a state change on a line, tagging the emitted
 // event with why it happened. Callers hold sh.mu, where sh guards
 // l.addr.
-func (c *Cache) setState(sh *cacheShard, l *line, next core.State, cause string) {
+func (c *Cache) setState(sh *cacheShard, l *line, next core.State, cause obs.Sym) {
 	c.setStateTx(sh, l, next, cause, 0)
 }
 
@@ -214,7 +231,7 @@ func (c *Cache) setState(sh *cacheShard, l *line, next core.State, cause string)
 // coherence analyzer can group a write with the fan-out of state
 // changes it triggered (txid 0 = no bus transaction: a silent local
 // transition).
-func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause string, txid uint64) {
+func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause obs.Sym, txid uint64) {
 	if l.state == next {
 		return
 	}
@@ -224,9 +241,9 @@ func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause strin
 	sh.stats.Transitions[l.state][next]++
 	if rec := c.obs; rec != nil {
 		rec.Emit(obs.Event{
-			TS: rec.Clock(), Kind: obs.KindState, Bus: c.bus.SegmentID(l.addr), Proc: c.id,
-			Addr: uint64(l.addr), From: l.state.Letter(), To: next.Letter(), Cause: cause,
-			Proto: c.policyFor(l.addr).Name(), TxID: txid,
+			TS: rec.Clock(), Kind: obs.KindState, Bus: int16(c.bus.SegmentID(l.addr)), Proc: int32(c.id),
+			Addr: uint64(l.addr), From: obs.StateSym(l.state), To: obs.StateSym(next), Cause: cause,
+			Proto: c.protoFor(l.addr), TxID: txid,
 		})
 	}
 	l.state = next
@@ -236,25 +253,25 @@ func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause strin
 // for the Cause of the resulting state event — distinguishing an
 // invalidation received from a read-for-ownership (CA+IM) from one
 // received from a plain write (IM) or a broadcast write (IM+BC).
-func snoopCause(tx *bus.Transaction) string {
+func snoopCause(tx *bus.Transaction) obs.Sym {
 	if tx.Cmd == bus.CmdClean {
-		return "snoop-clean"
+		return obs.CauseSnoopClean
 	}
 	switch tx.Event() {
 	case core.BusCacheRead:
-		return "snoop-cache-read"
+		return obs.CauseSnoopCacheRead
 	case core.BusCacheRFO:
-		return "snoop-cache-rfo"
+		return obs.CauseSnoopCacheRFO
 	case core.BusPlainRead:
-		return "snoop-read"
+		return obs.CauseSnoopRead
 	case core.BusCacheBroadcastWrite:
-		return "snoop-cache-bcast-write"
+		return obs.CauseSnoopCacheBcastWrite
 	case core.BusPlainWrite:
-		return "snoop-write"
+		return obs.CauseSnoopWrite
 	case core.BusPlainBroadcastWrite:
-		return "snoop-bcast-write"
+		return obs.CauseSnoopBcastWrite
 	}
-	return "snoop"
+	return obs.CauseSnoop
 }
 
 // noteStall accounts simulated bus time this cache's processor spent
@@ -270,7 +287,7 @@ func (c *Cache) noteStall(addr bus.Addr, cost int64) {
 		}
 		rec.Emit(obs.Event{
 			TS: ts, Dur: cost, Kind: obs.KindStall,
-			Bus: c.bus.SegmentID(addr), Proc: c.id, Addr: uint64(addr),
+			Bus: int16(c.bus.SegmentID(addr)), Proc: int32(c.id), Addr: uint64(addr),
 		})
 	}
 }
@@ -334,6 +351,12 @@ func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
 	c := &Cache{
 		id: id, bus: b, policy: policy, cfg: cfg, obs: b.Recorder(),
 		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()),
+	}
+	if c.obs != nil {
+		c.protos = append(c.protos, obs.Intern(policy.Name()))
+		for _, r := range cfg.Regions {
+			c.protos = append(c.protos, obs.Intern(r.Policy.Name()))
+		}
 	}
 	c.shards = make([]cacheShard, c.nshards)
 	c.presence = make([]bus.Presence, c.nshards)

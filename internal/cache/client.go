@@ -69,7 +69,7 @@ func (c *Cache) ReadWord(addr bus.Addr, wordIdx int) (uint32, error) {
 			sh.mu.Unlock()
 			return 0, fmt.Errorf("cache %d (%s): no local read action for state %s", c.id, c.policyFor(addr).Name(), l.state)
 		}
-		c.setState(sh, l, action.Next.Resolve(false), "read-hit")
+		c.setState(sh, l, action.Next.Resolve(false), obs.CauseReadHit)
 		c.touch(sh, l)
 		v := word(l.data, wordIdx)
 		sh.stats.ReadHits++
@@ -107,7 +107,7 @@ func (c *Cache) WriteWord(addr bus.Addr, wordIdx int, val uint32) error {
 		if !action.NeedsBus() {
 			// Silent write: M stays M, E goes to M (the M/E pair of
 			// Figure 4 — no other copy can exist).
-			c.setState(sh, l, action.Next.Resolve(false), "silent-write")
+			c.setState(sh, l, action.Next.Resolve(false), obs.CauseSilentWrite)
 			putWord(l.data, wordIdx, val)
 			c.touch(sh, l)
 			sh.stats.WriteHits++
@@ -153,7 +153,7 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 	if !action.NeedsBus() {
 		// The state improved (e.g. everyone else was invalidated)
 		// while we waited for the bus.
-		c.setState(sh, l, action.Next.Resolve(false), "write-hit")
+		c.setState(sh, l, action.Next.Resolve(false), obs.CauseWriteHit)
 		putWord(l.data, wordIdx, val)
 		c.touch(sh, l)
 		c.noteWrite(addr, wordIdx, val)
@@ -186,7 +186,7 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("cache %d: line %#x vanished during its own upgrade", c.id, uint64(addr))
 	}
-	c.setStateTx(sh, l, action.Next.Resolve(res.CH), "write-upgrade", res.TxID)
+	c.setStateTx(sh, l, action.Next.Resolve(res.CH), obs.CauseWriteUpgrade, res.TxID)
 	putWord(l.data, wordIdx, val)
 	c.touch(sh, l)
 	c.noteStall(addr, res.StallCost())
@@ -242,7 +242,7 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 		}
 		if !action2.NeedsBus() {
 			l := c.lookup(addr)
-			c.setState(sh, l, action2.Next.Resolve(false), "write-hit")
+			c.setState(sh, l, action2.Next.Resolve(false), obs.CauseWriteHit)
 			putWord(l.data, wordIdx, val)
 			c.touch(sh, l)
 			c.noteWrite(addr, wordIdx, val)
@@ -333,7 +333,7 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, in
 		return nil, 0, fmt.Errorf("cache %d: no free way for %#x after eviction", c.id, uint64(addr))
 	}
 	v.addr = addr
-	c.setStateTx(sh, v, next, "fill", res.TxID)
+	c.setStateTx(sh, v, next, obs.CauseFill, res.TxID)
 	v.data = append(v.data[:0], res.Data...)
 	c.touch(sh, v)
 	// res.Data is fresh (bus.MemoryPort.ReadLine, or the owner's copy
@@ -380,7 +380,7 @@ func (c *Cache) makeRoom(addr bus.Addr) error {
 	}
 	if !action.NeedsBus() {
 		// Clean victims (E, S) are dropped silently.
-		c.setState(sh, v, core.Invalid, "evict-clean")
+		c.setState(sh, v, core.Invalid, obs.CauseEvictClean)
 		sh.mu.Unlock()
 		return nil
 	}
@@ -405,10 +405,10 @@ func (c *Cache) makeRoom(addr bus.Addr) error {
 	sh.stats.Flushes++
 	c.noteStall(victimAddr, res.StallCost())
 	if rec := c.obs; rec != nil {
-		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindEvict, Bus: c.bus.SegmentID(victimAddr), Proc: c.id, Addr: uint64(victimAddr), TxID: res.TxID})
+		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindEvict, Bus: int16(c.bus.SegmentID(victimAddr)), Proc: int32(c.id), Addr: uint64(victimAddr), TxID: res.TxID})
 	}
 	if l := c.lookup(victimAddr); l != nil {
-		c.setStateTx(sh, l, action.Next.Resolve(res.CH), "evict", res.TxID)
+		c.setStateTx(sh, l, action.Next.Resolve(res.CH), obs.CauseEvict, res.TxID)
 	}
 	sh.mu.Unlock()
 	return nil
@@ -457,7 +457,7 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 		return fmt.Errorf("cache %d (%s): no %s action for state %s", c.id, c.policyFor(addr).Name(), event, st)
 	}
 	if !action.NeedsBus() {
-		c.setState(sh, l, action.Next.Resolve(false), "push")
+		c.setState(sh, l, action.Next.Resolve(false), obs.CausePush)
 		if event == core.Flush {
 			sh.stats.Flushes++
 		}
@@ -479,7 +479,7 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 	}
 	sh.mu.Lock()
 	if l := c.lookup(addr); l != nil {
-		c.setStateTx(sh, l, action.Next.Resolve(res.CH), "push", res.TxID)
+		c.setStateTx(sh, l, action.Next.Resolve(res.CH), obs.CausePush, res.TxID)
 	}
 	switch event {
 	case core.Pass:

@@ -5,6 +5,7 @@ import (
 
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
+	"futurebus/internal/obs"
 )
 
 // Bus-held line operations for multi-bus bridges (internal/hierarchy).
@@ -46,7 +47,7 @@ func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
 	l := c.lookup(addr)
 	if l != nil && l.state.MayModifySilently() {
 		copy(l.data, data)
-		c.setState(sh, l, core.Modified, "absorb")
+		c.setState(sh, l, core.Modified, obs.CauseAbsorb)
 		c.touch(sh, l)
 		sh.mu.Unlock()
 		return nil
@@ -85,7 +86,7 @@ func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
 		return fmt.Errorf("cache %d: absorbed line %#x vanished", c.id, uint64(addr))
 	}
 	copy(l.data, data)
-	c.setState(sh, l, core.Modified, "absorb")
+	c.setState(sh, l, core.Modified, obs.CauseAbsorb)
 	c.touch(sh, l)
 	return nil
 }
@@ -99,6 +100,6 @@ func (c *Cache) InvalidateHeld(addr bus.Addr) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if l := c.lookup(addr); l != nil {
-		c.setState(sh, l, core.Invalid, "invalidate-held")
+		c.setState(sh, l, core.Invalid, obs.CauseInvalidateHeld)
 	}
 }

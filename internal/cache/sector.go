@@ -29,8 +29,10 @@ type SectorCache struct {
 	bus    bus.Fabric
 	policy core.Policy
 	cfg    SectorConfig
-	// obs is inherited from the fabric (see Cache).
-	obs *obs.Recorder
+	// obs is inherited from the fabric (see Cache); proto is the
+	// policy's name symbol, interned once when tracing.
+	obs   *obs.Recorder
+	proto obs.Sym
 	// nshards/gran mirror the fabric's interleave parameters (gran in
 	// lines, as the fabric counts).
 	nshards, gran uint64
@@ -170,6 +172,9 @@ func NewSector(id int, b bus.Fabric, policy core.Policy, cfg SectorConfig) *Sect
 		id: id, bus: b, policy: policy, cfg: cfg, obs: b.Recorder(),
 		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()),
 	}
+	if c.obs != nil {
+		c.proto = obs.Intern(policy.Name())
+	}
 	c.shards = make([]sectorShard, c.nshards)
 	c.presence = make([]bus.Presence, c.nshards)
 	c.sets = make([][]sectorEntry, cfg.Sets)
@@ -253,7 +258,7 @@ func (c *SectorCache) noteStall(addr bus.Addr, cost int64) {
 		}
 		rec.Emit(obs.Event{
 			TS: ts, Dur: cost, Kind: obs.KindStall,
-			Bus: c.bus.SegmentID(addr), Proc: c.id, Addr: uint64(addr),
+			Bus: int16(c.bus.SegmentID(addr)), Proc: int32(c.id), Addr: uint64(addr),
 		})
 	}
 }
@@ -262,7 +267,7 @@ func (c *SectorCache) noteStall(addr bus.Addr, cost int64) {
 // Cache.setStateTx: the transition matrix counts it and, when tracing
 // is on, a KindState event carries the cause, protocol and causing
 // transaction. Callers hold the shard lock guarding addr.
-func (c *SectorCache) setSubState(sh *sectorShard, addr bus.Addr, s *sub, next core.State, cause string, txid uint64) {
+func (c *SectorCache) setSubState(sh *sectorShard, addr bus.Addr, s *sub, next core.State, cause obs.Sym, txid uint64) {
 	if s.state == next {
 		return
 	}
@@ -272,9 +277,9 @@ func (c *SectorCache) setSubState(sh *sectorShard, addr bus.Addr, s *sub, next c
 	sh.stats.Transitions[s.state][next]++
 	if rec := c.obs; rec != nil {
 		rec.Emit(obs.Event{
-			TS: rec.Clock(), Kind: obs.KindState, Bus: c.bus.SegmentID(addr), Proc: c.id,
-			Addr: uint64(addr), From: s.state.Letter(), To: next.Letter(), Cause: cause,
-			Proto: c.policy.Name(), TxID: txid,
+			TS: rec.Clock(), Kind: obs.KindState, Bus: int16(c.bus.SegmentID(addr)), Proc: int32(c.id),
+			Addr: uint64(addr), From: obs.StateSym(s.state), To: obs.StateSym(next), Cause: cause,
+			Proto: c.proto, TxID: txid,
 		})
 	}
 	s.state = next
@@ -405,7 +410,7 @@ func (c *SectorCache) WriteWord(addr bus.Addr, wordIdx int, val uint32) error {
 			return fmt.Errorf("sector cache %d: no write action for state %s", c.id, st)
 		}
 		if !action.NeedsBus() {
-			c.setSubState(sh, addr, &e.subs[si], action.Next.Resolve(false), "silent-write", 0)
+			c.setSubState(sh, addr, &e.subs[si], action.Next.Resolve(false), obs.CauseSilentWrite, 0)
 			putWord(e.subs[si].data, wordIdx, val)
 			c.touch(sh, e)
 			sh.stats.WriteHits++
@@ -438,7 +443,7 @@ func (c *SectorCache) writeHeld(addr bus.Addr, wordIdx int, val uint32) error {
 	}
 	sh.stats.WriteHits++
 	if !action.NeedsBus() {
-		c.setSubState(sh, addr, &e.subs[si], action.Next.Resolve(false), "write-hit", 0)
+		c.setSubState(sh, addr, &e.subs[si], action.Next.Resolve(false), obs.CauseWriteHit, 0)
 		putWord(e.subs[si].data, wordIdx, val)
 		c.touch(sh, e)
 		c.note(addr, wordIdx, val)
@@ -461,7 +466,7 @@ func (c *SectorCache) writeHeld(addr bus.Addr, wordIdx int, val uint32) error {
 	if e == nil {
 		return fmt.Errorf("sector cache %d: sector of %#x vanished during upgrade", c.id, uint64(addr))
 	}
-	c.setSubState(sh, addr, &e.subs[si], action.Next.Resolve(res.CH), "write-upgrade", res.TxID)
+	c.setSubState(sh, addr, &e.subs[si], action.Next.Resolve(res.CH), obs.CauseWriteUpgrade, res.TxID)
 	putWord(e.subs[si].data, wordIdx, val)
 	c.touch(sh, e)
 	c.noteStall(addr, res.StallCost())
@@ -560,7 +565,7 @@ func (c *SectorCache) fillSubWith(addr bus.Addr, action core.LocalAction) ([]byt
 	if e == nil {
 		return nil, fmt.Errorf("sector cache %d: allocated sector of %#x vanished", c.id, uint64(addr))
 	}
-	c.setSubState(sh, addr, &e.subs[si], next, "fill", res.TxID)
+	c.setSubState(sh, addr, &e.subs[si], next, obs.CauseFill, res.TxID)
 	e.subs[si].data = append(e.subs[si].data[:0], res.Data...)
 	c.touch(sh, e)
 	return res.Data, nil // fresh (see Cache.fillLineWith)
@@ -594,7 +599,7 @@ func (c *SectorCache) allocateSector(addr bus.Addr) error {
 		for si := range victim.subs {
 			s := &victim.subs[si]
 			subAddr := bus.Addr(victim.tag*uint64(c.cfg.SubSectors) + uint64(si))
-			cause := "evict-clean"
+			cause := obs.CauseEvictClean
 			if s.state.OwnedCopy() {
 				flush, ok := c.policy.ChooseLocal(s.state, core.Flush)
 				if !ok {
@@ -602,7 +607,7 @@ func (c *SectorCache) allocateSector(addr bus.Addr) error {
 					return fmt.Errorf("sector cache %d: no flush action for state %s", c.id, s.state)
 				}
 				sh.stats.DirtySubEvictions++
-				cause = "evict"
+				cause = obs.CauseEvict
 				pushes = append(pushes, bus.Transaction{
 					MasterID: c.id,
 					Signals:  flush.Assert,

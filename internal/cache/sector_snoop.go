@@ -134,7 +134,7 @@ func (c *SectorCache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.Sno
 	if !next.Valid() {
 		next = core.Invalid
 	}
-	c.setSubState(sh, aborted.Addr, &e.subs[si], next, "bs-recovery", res.TxID)
+	c.setSubState(sh, aborted.Addr, &e.subs[si], next, obs.CauseBSRecovery, res.TxID)
 	c.snoopEpoch.Add(1)
 	return nil
 }
@@ -143,6 +143,6 @@ func (c *SectorCache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.Sno
 // movements as a snooper. Callers hold the addressed shard's lock.
 func (c *SectorCache) emitSnoop(kind obs.Kind, tx *bus.Transaction) {
 	if rec := c.obs; rec != nil {
-		rec.Emit(obs.Event{TS: rec.Clock(), Kind: kind, Bus: c.bus.SegmentID(tx.Addr), Proc: c.id, Addr: uint64(tx.Addr), TxID: tx.TxID()})
+		rec.Emit(obs.Event{TS: rec.Clock(), Kind: kind, Bus: int16(c.bus.SegmentID(tx.Addr)), Proc: int32(c.id), Addr: uint64(tx.Addr), TxID: tx.TxID()})
 	}
 }

@@ -171,7 +171,7 @@ func (c *Cache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.SnoopResp
 		return err
 	}
 	c.noteStall(aborted.Addr, res.StallCost())
-	c.setStateTx(sh, l, rec.Next, "bs-recovery", res.TxID)
+	c.setStateTx(sh, l, rec.Next, obs.CauseBSRecovery, res.TxID)
 	c.snoopEpoch.Add(1)
 	return nil
 }
@@ -181,6 +181,6 @@ func (c *Cache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.SnoopResp
 // captured). Callers hold the line's shard lock.
 func (c *Cache) emitSnoop(kind obs.Kind, tx *bus.Transaction) {
 	if rec := c.obs; rec != nil {
-		rec.Emit(obs.Event{TS: rec.Clock(), Kind: kind, Bus: c.bus.SegmentID(tx.Addr), Proc: c.id, Addr: uint64(tx.Addr), TxID: tx.TxID()})
+		rec.Emit(obs.Event{TS: rec.Clock(), Kind: kind, Bus: int16(c.bus.SegmentID(tx.Addr)), Proc: int32(c.id), Addr: uint64(tx.Addr), TxID: tx.TxID()})
 	}
 }

@@ -110,6 +110,7 @@ func New(cfg Config) (*System, error) {
 		}
 		sys.Clusters = append(sys.Clusters, cluster)
 	}
+	global.Seal()
 	return sys, nil
 }
 
@@ -151,6 +152,7 @@ func newCluster(ci int, cfg Config, sys *System, global *bus.Bus, arb *bus.Arbit
 		})
 		cluster.Caches = append(cluster.Caches, c)
 	}
+	local.Seal()
 	return cluster, nil
 }
 

@@ -47,7 +47,7 @@ func Canonicalize(events []obs.Event) []obs.Event {
 			remap[out[i].TxID] = uint64(i + 1)
 		}
 	}
-	clock := make(map[int]int64)
+	clock := make(map[int32]int64)
 	for i := range out {
 		e := &out[i]
 		e.Seq = uint64(i)

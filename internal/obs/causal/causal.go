@@ -172,7 +172,7 @@ type Analyzer struct {
 	txs      []TxNode
 	byID     map[uint64]int    // TxID → index in txs
 	grants   map[uint64]uint64 // TxID → blocking TxID (from KindGrant)
-	blocked  map[int]blockedWait
+	blocked  map[int32]blockedWait
 	aborts   map[uint64]int // TxID → abort count seen
 	overflow int64
 	// disc is the arbitration discipline named by the most recent
@@ -194,7 +194,7 @@ const DefaultLimit = 1 << 20
 func (a *Analyzer) Consume(e *obs.Event) {
 	switch e.Kind {
 	case obs.KindEpoch:
-		a.disc = e.Cause
+		a.disc = e.Cause.String()
 	case obs.KindData:
 		if e.CauseID != 0 {
 			if a.queuedData == nil {
@@ -213,7 +213,7 @@ func (a *Analyzer) Consume(e *obs.Event) {
 		}
 	case obs.KindBlocked:
 		if a.blocked == nil {
-			a.blocked = make(map[int]blockedWait)
+			a.blocked = make(map[int32]blockedWait)
 		}
 		w := a.blocked[e.Proc]
 		w.dur += e.Dur
@@ -236,10 +236,10 @@ func (a *Analyzer) Consume(e *obs.Event) {
 			return
 		}
 		n := TxNode{
-			TxID: e.TxID, Proc: e.Proc, Bus: e.Bus, Addr: e.Addr,
-			Col: e.Col, Op: e.Op,
+			TxID: e.TxID, Proc: int(e.Proc), Bus: int(e.Bus), Addr: e.Addr,
+			Col: int(e.Col), Op: e.Op.String(),
 			Start: e.TS, End: e.TS + e.Dur, Dur: e.Dur,
-			Wait: e.ArbNS, Retries: e.Retries,
+			Wait: e.ArbNS, Retries: int(e.Retries),
 			RecoveredFor: e.CauseID,
 			Disc:         a.disc,
 		}

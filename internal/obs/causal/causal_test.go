@@ -13,8 +13,8 @@ import (
 // plus optional wait and retry overhead.
 func tx(seq uint64, ts, dur int64, proc int, txid, causeID uint64) obs.Event {
 	return obs.Event{
-		Seq: seq, TS: ts, Dur: dur, Kind: obs.KindTx, Proc: proc,
-		Addr: 0x40, Col: 6, Op: "R",
+		Seq: seq, TS: ts, Dur: dur, Kind: obs.KindTx, Proc: int32(proc),
+		Addr: 0x40, Col: 6, Op: obs.OpRead,
 		AddrNS: 125, DataNS: dur - 125,
 		TxID: txid, CauseID: causeID,
 	}
@@ -264,10 +264,10 @@ func TestEmptyAnalysis(t *testing.T) {
 // and split-mode queued data tenures count against it too.
 func TestDisciplineBlame(t *testing.T) {
 	events := []obs.Event{
-		{Seq: 0, Kind: obs.KindEpoch, Proc: -1, Cause: "fcfs"},
+		{Seq: 0, Kind: obs.KindEpoch, Proc: -1, Cause: obs.Intern("fcfs")},
 		tx(1, 0, 400, 0, 1, 0),
 		func() obs.Event { e := tx(2, 400, 300, 1, 2, 0); e.ArbNS = 400; return e }(),
-		{Seq: 3, TS: 700, Kind: obs.KindEpoch, Proc: -1, Cause: "rr"},
+		{Seq: 3, TS: 700, Kind: obs.KindEpoch, Proc: -1, Cause: obs.Intern("rr")},
 		func() obs.Event { e := tx(4, 700, 300, 0, 3, 0); e.ArbNS = 150; return e }(),
 		{Seq: 5, TS: 1000, Dur: 64, Kind: obs.KindData, Proc: 1, TxID: 4, CauseID: 3},
 	}

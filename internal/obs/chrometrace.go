@@ -55,13 +55,13 @@ const (
 func us(ns int64) float64 { return float64(ns) / 1e3 }
 
 func (s *ChromeTraceSink) convert(e *Event) (traceEvent, bool) {
-	pid := e.Bus
+	pid := int(e.Bus)
 	if pid < 0 {
 		pid = defaultPID
 	}
 	tid := busTrack
 	if e.Proc >= 0 {
-		tid = e.Proc + 1
+		tid = int(e.Proc) + 1
 	}
 	te := traceEvent{TS: us(e.TS), PID: pid, TID: tid}
 	addr := fmt.Sprintf("%#x", e.Addr)
@@ -94,14 +94,14 @@ func (s *ChromeTraceSink) convert(e *Event) (traceEvent, bool) {
 	case KindAbort, KindRecover, KindIntervene, KindUpdate, KindCapture, KindEvict, KindGrant:
 		te.Ph = "i"
 		te.S = "t"
-		te.Name = string(e.Kind) + " " + addr
+		te.Name = e.Kind.String() + " " + addr
 		te.Args = map[string]any{"addr": addr}
 	case KindMemRead, KindMemWrite:
 		te.Ph = "i"
 		te.S = "t"
 		te.PID = memoryPID
 		te.TID = memoryTID
-		te.Name = string(e.Kind) + " " + addr
+		te.Name = e.Kind.String() + " " + addr
 		te.Args = map[string]any{"addr": addr}
 	default:
 		return traceEvent{}, false

@@ -10,8 +10,8 @@ import (
 )
 
 func state(ts int64, proc int, addr uint64, from, to, cause, proto string, txid uint64) obs.Event {
-	return obs.Event{TS: ts, Kind: obs.KindState, Proc: proc, Addr: addr,
-		From: from, To: to, Cause: cause, Proto: proto, TxID: txid}
+	return obs.Event{TS: ts, Kind: obs.KindState, Proc: int32(proc), Addr: addr,
+		From: obs.Intern(from), To: obs.Intern(to), Cause: obs.Intern(cause), Proto: obs.Intern(proto), TxID: txid}
 }
 
 func feed(a *Analyzer, events ...obs.Event) {
@@ -34,7 +34,7 @@ func TestMatrixResidencyOwnership(t *testing.T) {
 		// P1's RFO at t=300 invalidates P0 and fills P1 modified.
 		state(300, 1, 0x40, "I", "M", "fill", "moesi", 2),
 		state(300, 0, 0x40, "M", "I", "snoop-cache-rfo", "moesi", 2),
-		obs.Event{TS: 300, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", DI: true, TxID: 2},
+		obs.Event{TS: 300, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2},
 		// Horizon marker at t=1000.
 		obs.Event{TS: 1000, Kind: obs.KindStall, Proc: 1},
 	)
@@ -114,7 +114,7 @@ func TestDirectMigrationViaTxID(t *testing.T) {
 		state(0, 0, 0x40, "I", "M", "fill", "moesi", 1),
 		// P1's RFO: P0 snooped out first, then P1's fill, both TxID 2.
 		state(200, 0, 0x40, "M", "I", "snoop-cache-rfo", "moesi", 2),
-		obs.Event{TS: 200, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", DI: true, TxID: 2},
+		obs.Event{TS: 200, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2},
 		state(200, 1, 0x40, "I", "M", "fill", "moesi", 2),
 	)
 	an := a.Analyze(1)
@@ -142,7 +142,7 @@ func TestUpdateFanout(t *testing.T) {
 		state(0, 0, 0x80, "I", "O", "fill", "firefly", 1),
 		obs.Event{TS: 10, Kind: obs.KindUpdate, Proc: 1, Addr: 0x80, TxID: 7},
 		obs.Event{TS: 10, Kind: obs.KindUpdate, Proc: 2, Addr: 0x80, TxID: 7},
-		obs.Event{TS: 10, Kind: obs.KindTx, Proc: 0, Addr: 0x80, Col: 8, Op: "W", TxID: 7},
+		obs.Event{TS: 10, Kind: obs.KindTx, Proc: 0, Addr: 0x80, Col: 8, Op: obs.OpWrite, TxID: 7},
 	)
 	ps := a.Analyze(-1).Protocols["firefly"]
 	if ps == nil {
@@ -182,7 +182,7 @@ func TestDiffSelfCleanAndRegression(t *testing.T) {
 		state(0, 0, 0x40, "I", "E", "fill", "moesi", 1),
 		state(50, 1, 0x40, "I", "M", "fill", "moesi", 2),
 		state(50, 0, 0x40, "E", "I", "snoop-cache-rfo", "moesi", 2),
-		obs.Event{TS: 50, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", TxID: 2},
+		obs.Event{TS: 50, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, TxID: 2},
 	)
 	n := noisy.Analyze(0)
 	r := Diff(q, n, 0.05, 0.001)

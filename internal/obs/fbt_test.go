@@ -17,19 +17,19 @@ func fbtSampleEvents() []Event {
 	return []Event{
 		{Seq: 0, TS: 0, Kind: KindGrant, Bus: 0, Proc: 3, Addr: 0x40, TxID: 1},
 		{Seq: 1, TS: 100, Dur: 645, Kind: KindTx, Bus: 0, Proc: 3, Addr: 0x40,
-			Col: 7, Op: "W", CH: true, DI: true, SL: true, Retries: 2, Bytes: 32,
+			Col: 7, Op: OpWrite, CH: true, DI: true, SL: true, Retries: 2, Bytes: 32,
 			ArbNS: 50, AddrNS: 125, DataNS: 320, IntvNS: 60, MemNS: 140, RetryNS: 250,
 			TxID: 1, CauseID: 0},
 		{Seq: 2, TS: 745, Kind: KindState, Bus: -1, Proc: 0, Addr: 0x40,
-			From: "I", To: "M", Cause: "write-upgrade"},
+			From: StateI, To: StateM, Cause: CauseWriteUpgrade},
 		{Seq: 3, TS: 745, Dur: 90, Kind: KindBlocked, Bus: 0, Proc: 2, Addr: 0x80, CauseID: 1},
 		{Seq: 4, TS: 800, Kind: KindAbort, Bus: 1, Proc: -1, Addr: math.MaxUint64, TxID: 2},
 		{Seq: 5, TS: 810, Kind: KindRecover, Bus: 1, Proc: 4, Addr: 0x80, TxID: 2, CauseID: 9},
 		// Out-of-order Seq/TS: deltas wrap around and must still decode
 		// to the exact values.
-		{Seq: 3, TS: -500, Dur: math.MaxInt64, Kind: "custom-kind", Bus: -1, Proc: -1,
-			Addr: 1, Op: "A", From: "zz", To: "yy", Cause: "novel"},
-		{Seq: math.MaxUint64, TS: math.MinInt64, Dur: -1, Kind: "custom-kind",
+		{Seq: 3, TS: -500, Dur: math.MaxInt64, Kind: Intern("custom-kind"), Bus: -1, Proc: -1,
+			Addr: 1, Op: OpAddrOnly, From: Intern("zz"), To: Intern("yy"), Cause: Intern("novel")},
+		{Seq: math.MaxUint64, TS: math.MinInt64, Dur: -1, Kind: Intern("custom-kind"),
 			Bus: 255, Proc: 1024, Addr: 0, Retries: -3, Bytes: -64,
 			ArbNS: math.MinInt64, RetryNS: math.MaxInt64, TxID: math.MaxUint64, CauseID: math.MaxUint64},
 		{Seq: 0, TS: 0, Kind: KindMemWrite, Bus: 0, Proc: 0, Addr: 0xffff, Bytes: 32},

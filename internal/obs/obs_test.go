@@ -8,6 +8,18 @@ import (
 	"testing"
 )
 
+// pop dequeues the head event into out, returning false when the ring
+// is empty.
+func (r *ring) pop(out *Event) bool {
+	run := r.run()
+	if len(run) == 0 {
+		return false
+	}
+	*out = run[0]
+	r.release(1)
+	return true
+}
+
 // TestRingFIFO: single-producer order is preserved exactly.
 func TestRingFIFO(t *testing.T) {
 	r := newRing(8)
@@ -50,6 +62,78 @@ func TestRingFull(t *testing.T) {
 	}
 }
 
+// TestRingRuns: run returns every published slot from the head up to
+// the end of the slot array, and release frees exactly the slots it
+// returned, so a wrapped ring drains in two runs.
+func TestRingRuns(t *testing.T) {
+	r := newRing(8)
+	for i := 0; i < 6; i++ {
+		r.push(&Event{TS: int64(i)})
+	}
+	if run := r.run(); len(run) != 6 || run[0].TS != 0 || run[5].TS != 5 {
+		t.Fatalf("first run = %d events", len(run))
+	}
+	r.release(4)
+	for i := 6; i < 12; i++ {
+		if !r.push(&Event{TS: int64(i)}) {
+			t.Fatalf("push %d failed after release", i)
+		}
+	}
+	if r.push(&Event{}) {
+		t.Fatal("push into a full ring succeeded")
+	}
+	var got []int64
+	for run := r.run(); len(run) > 0; run = r.run() {
+		if len(run) > 4 {
+			t.Errorf("run of %d events crosses the end of the slot array", len(run))
+		}
+		for _, e := range run {
+			got = append(got, e.TS)
+		}
+		r.release(len(run))
+	}
+	for i, ts := range got {
+		if ts != int64(i+4) {
+			t.Fatalf("drained %v, want 4..11 in order", got)
+		}
+	}
+}
+
+// batchLog is a BatchSink that records the runs it was handed.
+type batchLog struct {
+	events []Event
+	calls  int
+}
+
+func (b *batchLog) Consume(e *Event)            { b.events = append(b.events, *e) }
+func (b *batchLog) ConsumeBatch(events []Event) { b.calls++; b.events = append(b.events, events...) }
+func (b *batchLog) Flush() error                { return nil }
+
+// TestDrainBatchAndPlainSinks: a batch sink and a per-event sink on one
+// recorder see the same stream in emission order.
+func TestDrainBatchAndPlainSinks(t *testing.T) {
+	batch := &batchLog{}
+	var plain []Event
+	rec := NewSized(64, batch, SinkFunc(func(e *Event) { plain = append(plain, *e) }))
+	for i := 0; i < 5000; i++ {
+		rec.Emit(Event{Kind: KindTx, TS: int64(i), Proc: int32(i % 7)})
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.events) != 5000 || len(plain) != 5000 {
+		t.Fatalf("batch sink saw %d events, plain sink %d; want 5000", len(batch.events), len(plain))
+	}
+	if batch.calls == 0 {
+		t.Error("the drain never called ConsumeBatch")
+	}
+	for i := range plain {
+		if plain[i] != batch.events[i] || plain[i].TS != int64(i) || plain[i].Seq != uint64(i) {
+			t.Fatalf("event %d: batch %+v, plain %+v", i, batch.events[i], plain[i])
+		}
+	}
+}
+
 // TestRecorderConcurrentEmit: many producers, every event arrives
 // exactly once, and Seq as seen by the sink is strictly increasing
 // (the drain order is the global emission order).
@@ -68,7 +152,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				rec.Emit(Event{Kind: KindTx, Proc: p, Addr: uint64(i)})
+				rec.Emit(Event{Kind: KindTx, Proc: int32(p), Addr: uint64(i)})
 			}
 		}(p)
 	}
@@ -79,7 +163,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 	if len(got) != producers*each {
 		t.Fatalf("got %d events, want %d", len(got), producers*each)
 	}
-	perProc := make(map[int]int)
+	perProc := make(map[int32]int)
 	for i, e := range got {
 		if i > 0 && e.Seq <= got[i-1].Seq {
 			t.Fatalf("seq not increasing at %d: %d after %d", i, e.Seq, got[i-1].Seq)
@@ -187,9 +271,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	in := []Event{
 		{Seq: 0, TS: 0, Kind: KindGrant, Bus: 0, Proc: 2, Addr: 0x10},
 		{Seq: 1, TS: 10, Dur: 425, Kind: KindTx, Bus: 0, Proc: 2, Addr: 0x10,
-			Col: 6, Op: "R", CH: true, DI: true, Retries: 1, Bytes: 32},
+			Col: 6, Op: OpRead, CH: true, DI: true, Retries: 1, Bytes: 32},
 		{Seq: 2, TS: 435, Kind: KindState, Bus: 0, Proc: 1, Addr: 0x10,
-			From: "M", To: "O", Cause: "snoop"},
+			From: StateM, To: StateO, Cause: CauseSnoop},
 		{Seq: 3, TS: 435, Kind: KindMemWrite, Bus: -1, Proc: -1, Addr: 0x20},
 	}
 	var buf bytes.Buffer
@@ -218,9 +302,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestLineAudit(t *testing.T) {
 	a := NewLineAuditSink(8)
 	for i := 0; i < 20; i++ {
-		a.Consume(&Event{Seq: uint64(i), Kind: KindTx, Addr: 0x10, Col: 5, Op: "R"})
+		a.Consume(&Event{Seq: uint64(i), Kind: KindTx, Addr: 0x10, Col: 5, Op: OpRead})
 	}
-	a.Consume(&Event{Kind: KindState, Addr: 0x20, From: "I", To: "M", Cause: "fill"})
+	a.Consume(&Event{Kind: KindState, Addr: 0x20, From: StateI, To: StateM, Cause: CauseFill})
 	a.Consume(&Event{Kind: KindGrant, Addr: 0x20}) // not audited
 	h := a.LineHistory(0x10)
 	if len(h) > 8 {
@@ -245,8 +329,8 @@ func TestLineAudit(t *testing.T) {
 func TestChromeTraceExport(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewChromeTraceSink(&buf)
-	s.Consume(&Event{Seq: 1, TS: 0, Dur: 425, Kind: KindTx, Bus: 0, Proc: 1, Addr: 0x10, Col: 5, Op: "R", Bytes: 32})
-	s.Consume(&Event{Seq: 2, TS: 425, Kind: KindState, Bus: 0, Proc: 0, Addr: 0x10, From: "I", To: "S", Cause: "fill"})
+	s.Consume(&Event{Seq: 1, TS: 0, Dur: 425, Kind: KindTx, Bus: 0, Proc: 1, Addr: 0x10, Col: 5, Op: OpRead, Bytes: 32})
+	s.Consume(&Event{Seq: 2, TS: 425, Kind: KindState, Bus: 0, Proc: 0, Addr: 0x10, From: StateI, To: StateS, Cause: CauseFill})
 	s.Consume(&Event{Seq: 3, TS: 425, Kind: KindMemRead, Bus: -1, Proc: -1, Addr: 0x10})
 	s.Consume(&Event{Seq: 4, TS: 425, Dur: 425, Kind: KindStall, Bus: 0, Proc: 1, Addr: 0x10})
 	if err := s.Flush(); err != nil {

@@ -29,15 +29,15 @@ func TestCoherenceEndpointAndMetrics(t *testing.T) {
 	// One line migrating P0 → P1 under an RFO (snoop invalidation
 	// first, then the tx, then the new owner's fill — stream order).
 	rec.Emit(obs.Event{Seq: 0, TS: 0, Kind: obs.KindState, Proc: 0, Addr: 0x40,
-		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 1})
+		From: obs.StateI, To: obs.StateM, Cause: obs.CauseFill, Proto: obs.Intern("moesi"), TxID: 1})
 	rec.Emit(obs.Event{Seq: 1, TS: 0, Dur: 400, Kind: obs.KindTx, Proc: 0, Addr: 0x40,
-		Col: 6, Op: "R", TxID: 1})
+		Col: 6, Op: obs.OpRead, TxID: 1})
 	rec.Emit(obs.Event{Seq: 2, TS: 500, Kind: obs.KindState, Proc: 0, Addr: 0x40,
-		From: "M", To: "I", Cause: "snoop-cache-rfo", Proto: "moesi", TxID: 2})
+		From: obs.StateM, To: obs.StateI, Cause: obs.CauseSnoopCacheRFO, Proto: obs.Intern("moesi"), TxID: 2})
 	rec.Emit(obs.Event{Seq: 3, TS: 500, Dur: 400, Kind: obs.KindTx, Proc: 1, Addr: 0x40,
-		Col: 6, Op: "R", DI: true, TxID: 2})
+		Col: 6, Op: obs.OpRead, DI: true, TxID: 2})
 	rec.Emit(obs.Event{Seq: 4, TS: 500, Kind: obs.KindState, Proc: 1, Addr: 0x40,
-		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 2})
+		From: obs.StateI, To: obs.StateM, Cause: obs.CauseFill, Proto: obs.Intern("moesi"), TxID: 2})
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -117,11 +117,11 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Feed a little traffic through the recorder so every endpoint has
 	// something to show.
-	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 0, Op: "R", Dur: 645,
+	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 0, Op: obs.OpRead, Dur: 645,
 		AddrNS: 125, DataNS: 320, MemNS: 200})
-	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 1, Op: "W", Dur: 565, Retries: 1,
+	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 1, Op: obs.OpWrite, Dur: 565, Retries: 1,
 		AddrNS: 125, DataNS: 320, IntvNS: 120})
-	rec.Emit(obs.Event{Kind: obs.KindState, Proc: 0, From: "I", To: "E"})
+	rec.Emit(obs.Event{Kind: obs.KindState, Proc: 0, From: obs.StateI, To: obs.StateE})
 	rec.Emit(obs.Event{Kind: obs.KindAbort, Proc: 1})
 	rec.Drain()
 
@@ -196,7 +196,7 @@ func TestServerEndpoints(t *testing.T) {
 		if err := json.Unmarshal([]byte(frame), &e); err != nil {
 			t.Fatalf("bad SSE frame %q: %v", frame, err)
 		}
-		if e.Kind == "" {
+		if e.Kind == 0 {
 			t.Errorf("SSE frame missing kind: %q", frame)
 		}
 	case <-deadline:

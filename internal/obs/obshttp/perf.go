@@ -92,6 +92,9 @@ func NewPerfSink(reg *Registry) *PerfSink {
 // Consume implements obs.Sink.
 func (s *PerfSink) Consume(e *obs.Event) { s.sink.Consume(e) }
 
+// ConsumeBatch implements obs.BatchSink.
+func (s *PerfSink) ConsumeBatch(events []obs.Event) { s.sink.ConsumeBatch(events) }
+
 // Flush implements obs.Sink.
 func (s *PerfSink) Flush() error { return nil }
 

@@ -2,7 +2,6 @@ package obshttp
 
 import (
 	"fmt"
-	"strings"
 
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/watch"
@@ -162,10 +161,10 @@ func (s *Service) Serve(addr string) (*Server, error) {
 type metricsSink struct {
 	reg    *Registry
 	events map[obs.Kind]*Counter
-	txOps  map[string]*Counter
-	trans  map[[2]string]*Counter
-	ctrans map[[3]string]*Counter
-	cinv   map[string]*Counter
+	txOps  map[obs.Sym]*Counter
+	trans  map[[2]obs.Sym]*Counter
+	ctrans map[[3]obs.Sym]*Counter
+	cinv   map[obs.Sym]*Counter
 	aborts *Counter
 	retry  *Counter
 	nacks  *Counter
@@ -179,10 +178,10 @@ func newMetricsSink(reg *Registry) *metricsSink {
 	m := &metricsSink{
 		reg:    reg,
 		events: make(map[obs.Kind]*Counter),
-		txOps:  make(map[string]*Counter),
-		trans:  make(map[[2]string]*Counter),
-		ctrans: make(map[[3]string]*Counter),
-		cinv:   make(map[string]*Counter),
+		txOps:  make(map[obs.Sym]*Counter),
+		trans:  make(map[[2]obs.Sym]*Counter),
+		ctrans: make(map[[3]obs.Sym]*Counter),
+		cinv:   make(map[obs.Sym]*Counter),
 		aborts: reg.Counter(MetricAborts, "", "BS aborts of bus transaction attempts."),
 		retry:  reg.Counter(MetricRetries, "", "BS abort/retry rounds across all transactions."),
 		nacks: reg.Counter(MetricNacks, "",
@@ -211,8 +210,8 @@ func (m *metricsSink) Consume(e *obs.Event) {
 	switch e.Kind {
 	case obs.KindTx:
 		op := e.Op
-		if op == "" {
-			op = "A"
+		if op == 0 {
+			op = obs.OpAddrOnly
 		}
 		oc, ok := m.txOps[op]
 		if !ok {
@@ -236,7 +235,7 @@ func (m *metricsSink) Consume(e *obs.Event) {
 	case obs.KindAbort:
 		m.aborts.Inc()
 	case obs.KindState:
-		key := [2]string{e.From, e.To}
+		key := [2]obs.Sym{e.From, e.To}
 		tc, ok := m.trans[key]
 		if !ok {
 			tc = m.reg.Counter(MetricStateTransitions,
@@ -246,10 +245,10 @@ func (m *metricsSink) Consume(e *obs.Event) {
 		}
 		tc.Inc()
 		proto := e.Proto
-		if proto == "" {
-			proto = "unknown"
+		if proto == 0 {
+			proto = obs.SymUnknown
 		}
-		ckey := [3]string{proto, e.From, e.To}
+		ckey := [3]obs.Sym{proto, e.From, e.To}
 		cc, ok := m.ctrans[ckey]
 		if !ok {
 			cc = m.reg.Counter(MetricCoherenceTransitions,
@@ -258,7 +257,7 @@ func (m *metricsSink) Consume(e *obs.Event) {
 			m.ctrans[ckey] = cc
 		}
 		cc.Inc()
-		if e.To == "I" && strings.HasPrefix(e.Cause, "snoop-") {
+		if e.To == obs.StateI && e.Cause.SnoopCause() {
 			ic, ok := m.cinv[proto]
 			if !ok {
 				ic = m.reg.Counter(MetricCoherenceInvalidations,

@@ -8,22 +8,14 @@ import (
 	"futurebus/internal/obs/watch"
 )
 
-// watchBatch mirrors coherenceBatch: WatchSink buffers events on the
-// recorder's drain goroutine and folds them into the monitor once per
-// batch, so the hot path stays lock-free and live snapshots lag the
-// stream by at most one batch (Recorder.Flush forces an exact cut).
-const watchBatch = 256
-
 // WatchSink adapts watch.Monitor (single-goroutine, like
 // coherence.Analyzer) for concurrent snapshotting from HTTP handlers:
-// Consume runs on the drain goroutine, Report/Total on any handler
-// goroutine, with a mutex between them. It also syncs the monitor's
-// per-(invariant, proto) counters into the metrics registry after every
-// fold, exposing futurebus_invariant_violations_total on /metrics.
+// the drain hands the monitor every event, a whole run under one lock,
+// and Report/Total take the same lock on any handler goroutine. It also
+// syncs the monitor's per-(invariant, proto) counters into the metrics
+// registry after every run, exposing futurebus_invariant_violations_total
+// on /metrics.
 type WatchSink struct {
-	// Drain-goroutine-owned batch state, touched without the lock.
-	buf []obs.Event
-
 	mu  sync.Mutex
 	mon *watch.Monitor
 
@@ -50,44 +42,28 @@ func NewWatchSink(cfg watch.Config, reg *Registry) *WatchSink {
 	}
 }
 
-// relevant mirrors the kinds the monitor folds or remembers as context;
-// everything else is skipped before buffering.
-func relevant(k obs.Kind) bool {
-	switch k {
-	case obs.KindState, obs.KindTx, obs.KindEpoch, obs.KindAbort,
-		obs.KindRecover, obs.KindCapture:
-		return true
-	}
-	return false
-}
-
 // Consume implements obs.Sink.
 func (s *WatchSink) Consume(e *obs.Event) {
-	if !relevant(e.Kind) {
-		return
-	}
-	if s.buf == nil {
-		s.buf = make([]obs.Event, 0, watchBatch)
-	}
-	s.buf = append(s.buf, *e)
-	if len(s.buf) >= watchBatch {
-		s.fold()
-	}
+	s.mu.Lock()
+	s.mon.Consume(e)
+	s.unlockAndSync()
 }
 
-// fold replays the buffered batch into the monitor under the lock and
-// pushes counter deltas to the registry. Drain goroutine only.
-func (s *WatchSink) fold() {
+// ConsumeBatch implements obs.BatchSink.
+func (s *WatchSink) ConsumeBatch(events []obs.Event) {
 	s.mu.Lock()
-	for i := range s.buf {
-		s.mon.Consume(&s.buf[i])
-	}
+	s.mon.ConsumeBatch(events)
+	s.unlockAndSync()
+}
+
+// unlockAndSync releases the lock its caller took and pushes counter
+// deltas to the registry. Drain goroutine only.
+func (s *WatchSink) unlockAndSync() {
 	var counts []watch.Count
-	if s.reg != nil {
+	if s.reg != nil && s.mon.Total() > 0 {
 		counts = s.mon.Counts()
 	}
 	s.mu.Unlock()
-	s.buf = s.buf[:0]
 	for _, c := range counts {
 		key := watchLabel{c.Invariant, c.Proto}
 		ctr, ok := s.ctrs[key]
@@ -104,14 +80,8 @@ func (s *WatchSink) fold() {
 	}
 }
 
-// Flush implements obs.Sink: it folds the partial batch so snapshots
-// taken after Recorder.Flush see the complete stream.
-func (s *WatchSink) Flush() error {
-	if len(s.buf) > 0 {
-		s.fold()
-	}
-	return nil
-}
+// Flush implements obs.Sink.
+func (s *WatchSink) Flush() error { return nil }
 
 // Report snapshots the monitor (the /violations document).
 func (s *WatchSink) Report() *watch.Report {

@@ -47,12 +47,12 @@ func TestWatchSinkEndpointAndMetrics(t *testing.T) {
 	}
 
 	// Two caches fill the same line to M — a single-owner violation.
-	rec.Emit(obs.Event{TS: 1, Kind: obs.KindTx, Proc: 0, Addr: 0x40, Col: 6, Op: "R", TxID: 1})
+	rec.Emit(obs.Event{TS: 1, Kind: obs.KindTx, Proc: 0, Addr: 0x40, Col: 6, Op: obs.OpRead, TxID: 1})
 	rec.Emit(obs.Event{TS: 2, Kind: obs.KindState, Proc: 0, Addr: 0x40,
-		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 1})
-	rec.Emit(obs.Event{TS: 3, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", DI: true, TxID: 2})
+		From: obs.StateI, To: obs.StateM, Cause: obs.CauseFill, Proto: obs.Intern("moesi"), TxID: 1})
+	rec.Emit(obs.Event{TS: 3, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2})
 	rec.Emit(obs.Event{TS: 4, Kind: obs.KindState, Proc: 1, Addr: 0x40,
-		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 2})
+		From: obs.StateI, To: obs.StateM, Cause: obs.CauseFill, Proto: obs.Intern("moesi"), TxID: 2})
 	rec.Drain()
 	if err := rec.Flush(); err != nil { // fold the partial batch
 		t.Fatal(err)
@@ -101,10 +101,82 @@ func TestWatchDisabledEndpointEmpty(t *testing.T) {
 	}
 }
 
+// TestWatchSinkParity: the live sink and a bare monitor judge the same
+// stream alike, split-tenure and forward-progress checks included —
+// whether the sink is fed one event at a time or in drained runs.
+func TestWatchSinkParity(t *testing.T) {
+	stream := []obs.Event{
+		{TS: 1, Kind: obs.KindPend, Proc: 1, Addr: 0x40, TxID: 5},
+		{TS: 2, Kind: obs.KindPend, Proc: 1, Addr: 0x40, TxID: 5},
+		{TS: 3, Kind: obs.KindData, Proc: 2, Addr: 0x80, TxID: 9},
+		{TS: 4, Kind: obs.KindRetryExhausted, Proc: 3, Addr: 0xc0, Retries: 65},
+	}
+	bare := watch.New(watch.Config{})
+	for i := range stream {
+		bare.Consume(&stream[i])
+	}
+	want, err := json.Marshal(bare.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := bare.Report(); r.Total != 3 || r.ByInvariant[watch.InvPendingTx] != 2 || r.ByInvariant[watch.InvProgress] != 1 {
+		t.Fatalf("bare monitor: %s", want)
+	}
+
+	each := NewWatchSink(watch.Config{}, NewRegistry())
+	for i := range stream {
+		each.Consume(&stream[i])
+	}
+	drained := NewWatchSink(watch.Config{}, nil)
+	rec := obs.New(drained)
+	for _, e := range stream {
+		rec.Emit(e)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, sink := range map[string]*WatchSink{"per-event": each, "drained": drained} {
+		got, err := json.Marshal(sink.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "drained" {
+			// The recorder numbers events; the bare stream did not.
+			want, got = scrubSeq(t, want), scrubSeq(t, got)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s WatchSink report differs from the bare monitor:\n got  %s\n want %s", name, got, want)
+		}
+	}
+}
+
+// scrubSeq zeroes the seq of every context event in a report's JSON.
+func scrubSeq(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var r watch.Report
+	if err := json.Unmarshal(b, &r); err != nil {
+		t.Fatal(err)
+	}
+	for i := range r.Violations {
+		for k := range r.Violations[i].Context {
+			r.Violations[i].Context[k].Seq = 0
+		}
+	}
+	if r.First != nil {
+		for k := range r.First.Context {
+			r.First.Context[k].Seq = 0
+		}
+	}
+	out, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestServiceConcurrentScrapeStreamFold hammers /metrics scrapes and an
-// SSE subscriber while the recorder's drain goroutine folds
-// CoherenceSink and WatchSink batches — the satellite-3 coverage, run
-// under -race in CI.
+// SSE subscriber while the recorder's drain goroutine folds runs of
+// events into CoherenceSink and WatchSink; CI runs it under -race.
 func TestServiceConcurrentScrapeStreamFold(t *testing.T) {
 	leaktest.Check(t)
 	svc := NewService(4)
@@ -185,16 +257,16 @@ func TestServiceConcurrentScrapeStreamFold(t *testing.T) {
 	}()
 
 	// Emitter: a legal fill/invalidate cycle over many lines, enough
-	// volume to force many 256-event folds in both batch sinks.
+	// volume to wrap the recorder's ring many times.
 	for i := 0; i < 20000; i++ {
 		addr := uint64(0x1000 + (i%64)*64)
 		txid := uint64(i + 1)
-		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindTx, Proc: i % 4, Addr: addr,
-			Col: 6, Op: "R", TxID: txid})
-		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindState, Proc: i % 4, Addr: addr,
-			From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: txid})
-		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindState, Proc: i % 4, Addr: addr,
-			From: "M", To: "I", Cause: "snoop-cache-rfo", TxID: txid + 1})
+		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindTx, Proc: int32(i % 4), Addr: addr,
+			Col: 6, Op: obs.OpRead, TxID: txid})
+		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindState, Proc: int32(i % 4), Addr: addr,
+			From: obs.StateI, To: obs.StateM, Cause: obs.CauseFill, Proto: obs.Intern("moesi"), TxID: txid})
+		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindState, Proc: int32(i % 4), Addr: addr,
+			From: obs.StateM, To: obs.StateI, Cause: obs.CauseSnoopCacheRFO, TxID: txid + 1})
 	}
 	rec.Drain()
 	if err := rec.Flush(); err != nil {

@@ -329,6 +329,21 @@ func (s *Sink) Consume(e *obs.Event) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.consume(e)
+}
+
+// ConsumeBatch implements obs.BatchSink: the whole run under one lock.
+func (s *Sink) ConsumeBatch(events []obs.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range events {
+		if Relevant(events[i].Kind) {
+			s.consume(&events[i])
+		}
+	}
+}
+
+func (s *Sink) consume(e *obs.Event) {
 	s.cum.events++
 	s.epoch.events++
 	switch e.Kind {
@@ -347,10 +362,10 @@ func (s *Sink) Consume(e *obs.Event) {
 		}
 		s.observe(MetricArbWait, &s.cum.arbWait, &s.epoch.arbWait, e.Dur)
 		if e.Proc >= 0 {
-			s.cum.boardWait[e.Proc] += e.Dur
-			s.epoch.boardWait[e.Proc] += e.Dur
+			s.cum.boardWait[int(e.Proc)] += e.Dur
+			s.epoch.boardWait[int(e.Proc)] += e.Dur
 		}
-		s.observeDepth(e.Bus, e.TS, e.Dur)
+		s.observeDepth(int(e.Bus), e.TS, e.Dur)
 	case obs.KindPend:
 		// Split-mode off-bus memory service (the first-word latency a
 		// pending transaction spends in the table).

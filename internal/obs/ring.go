@@ -6,20 +6,18 @@ import (
 
 // ring is a bounded multi-producer single-consumer queue of Events
 // (Vyukov's bounded MPMC algorithm, consumed from one goroutine). Each
-// slot carries a sequence word: producers claim a position with a CAS
-// on tail, write the event, and publish by storing pos+1 into the
-// slot; the consumer reads a slot only once its sequence shows the
-// publication, so an enqueue-in-progress never tears.
+// slot has a sequence word: producers claim a position with a CAS on
+// tail, write the event, and publish by storing pos+1 into the slot's
+// word; the consumer reads a slot only once its word shows the
+// publication, so an enqueue-in-progress never tears. The words and
+// the events are parallel arrays, so a run of published slots is a
+// plain []Event the consumer hands to its sinks in one call.
 type ring struct {
-	mask  uint64
-	slots []slot
-	tail  atomic.Uint64 // next enqueue position
-	head  atomic.Uint64 // next dequeue position (single consumer)
-}
-
-type slot struct {
-	seq atomic.Uint64
-	ev  Event
+	mask uint64
+	seq  []atomic.Uint64
+	ev   []Event
+	tail atomic.Uint64 // next enqueue position
+	head atomic.Uint64 // next dequeue position (single consumer)
 }
 
 // newRing creates a ring with capacity rounded up to a power of two.
@@ -28,9 +26,9 @@ func newRing(capacity int) *ring {
 	for n < capacity {
 		n <<= 1
 	}
-	r := &ring{mask: uint64(n - 1), slots: make([]slot, n)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
+	r := &ring{mask: uint64(n - 1), seq: make([]atomic.Uint64, n), ev: make([]Event, n)}
+	for i := range r.seq {
+		r.seq[i].Store(uint64(i))
 	}
 	return r
 }
@@ -39,14 +37,13 @@ func newRing(capacity int) *ring {
 func (r *ring) push(ev *Event) bool {
 	for {
 		pos := r.tail.Load()
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch d := int64(seq) - int64(pos); {
+		i := pos & r.mask
+		switch d := int64(r.seq[i].Load()) - int64(pos); {
 		case d == 0:
 			if r.tail.CompareAndSwap(pos, pos+1) {
 				ev.Seq = pos
-				s.ev = *ev
-				s.seq.Store(pos + 1)
+				r.ev[i] = *ev
+				r.seq[i].Store(pos + 1)
 				return true
 			}
 		case d < 0:
@@ -56,35 +53,26 @@ func (r *ring) push(ev *Event) bool {
 	}
 }
 
-// pop dequeues into out, returning false when the ring is empty. Only
-// one goroutine may call pop at a time.
-func (r *ring) pop(out *Event) bool {
-	e := r.peek()
-	if e == nil {
-		return false
+// run returns the published events from the head up to the first
+// unpublished slot or the end of the slot array, without freeing them.
+// The events stay valid until release; producers cannot reuse their
+// slots before then. Only the consumer goroutine may call run/release.
+func (r *ring) run() []Event {
+	pos := r.head.Load()
+	i := pos & r.mask
+	n := uint64(0)
+	for i+n <= r.mask && r.seq[i+n].Load() == pos+n+1 {
+		n++
 	}
-	*out = *e
-	r.advance()
-	return true
+	return r.ev[i : i+n]
 }
 
-// peek returns a pointer to the event at the head without freeing its
-// slot, or nil when the ring is empty. The pointee stays valid until
-// advance; producers cannot reuse the slot before then. Only the
-// consumer goroutine may call peek/advance.
-func (r *ring) peek() *Event {
+// release frees the first n slots from the head, returned by the
+// preceding run.
+func (r *ring) release(n int) {
 	pos := r.head.Load()
-	s := &r.slots[pos&r.mask]
-	if int64(s.seq.Load())-int64(pos+1) < 0 {
-		return nil
+	for k := uint64(0); k < uint64(n); k++ {
+		r.seq[(pos+k)&r.mask].Store(pos + k + r.mask + 1)
 	}
-	return &s.ev
-}
-
-// advance frees the slot returned by the preceding peek.
-func (r *ring) advance() {
-	pos := r.head.Load()
-	s := &r.slots[pos&r.mask]
-	s.seq.Store(pos + r.mask + 1)
-	r.head.Store(pos + 1)
+	r.head.Store(pos + uint64(n))
 }

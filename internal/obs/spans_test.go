@@ -12,7 +12,7 @@ import (
 // phases sum to dur.
 func txEvent(seq uint64, proc int, dur, arb, addr, data, intv, mem, retry int64) *Event {
 	return &Event{
-		Seq: seq, Kind: KindTx, Proc: proc, Dur: dur, Op: "R", Col: 6,
+		Seq: seq, Kind: KindTx, Proc: int32(proc), Dur: dur, Op: OpRead, Col: 6,
 		ArbNS: arb, AddrNS: addr, DataNS: data, IntvNS: intv, MemNS: mem, RetryNS: retry,
 	}
 }
@@ -157,7 +157,7 @@ func TestRingConcurrentWraparound(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				e := Event{Proc: p, Addr: uint64(i)}
+				e := Event{Proc: int32(p), Addr: uint64(i)}
 				for !r.push(&e) {
 					runtime.Gosched() // full: wait for the consumer
 				}

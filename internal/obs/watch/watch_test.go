@@ -24,16 +24,16 @@ func newRig(t *testing.T, cfg Config) *rig {
 func (r *rig) tx(proc int, addr uint64, col int, op string, ch, di bool, txid uint64) {
 	r.ts++
 	r.m.Consume(&obs.Event{
-		TS: r.ts, Kind: obs.KindTx, Bus: 0, Proc: proc, Addr: addr,
-		Col: col, Op: op, CH: ch, DI: di, TxID: txid,
+		TS: r.ts, Kind: obs.KindTx, Bus: 0, Proc: int32(proc), Addr: addr,
+		Col: int16(col), Op: obs.Intern(op), CH: ch, DI: di, TxID: txid,
 	})
 }
 
 func (r *rig) st(proc int, addr uint64, from, to, cause string, txid uint64) {
 	r.ts++
 	r.m.Consume(&obs.Event{
-		TS: r.ts, Kind: obs.KindState, Bus: 0, Proc: proc, Addr: addr,
-		From: from, To: to, Cause: cause, Proto: "moesi", TxID: txid,
+		TS: r.ts, Kind: obs.KindState, Bus: 0, Proc: int32(proc), Addr: addr,
+		From: obs.Intern(from), To: obs.Intern(to), Cause: obs.Intern(cause), Proto: obs.Intern("moesi"), TxID: txid,
 	})
 }
 
@@ -250,7 +250,7 @@ func TestContextRingBounded(t *testing.T) {
 		t.Fatalf("context has %d events, want exactly depth 4", len(v.Context))
 	}
 	last := v.Context[len(v.Context)-1]
-	if last.Cause != "evict-clean" {
+	if last.Cause != obs.CauseEvictClean {
 		t.Fatalf("context should end with the trigger, got cause %q", last.Cause)
 	}
 	for i := 1; i < len(v.Context); i++ {
@@ -350,8 +350,8 @@ func TestViolationString(t *testing.T) {
 func (r *rig) split(kind obs.Kind, proc int, addr uint64, txid uint64, retries int) {
 	r.ts++
 	r.m.Consume(&obs.Event{
-		TS: r.ts, Kind: kind, Bus: 0, Proc: proc, Addr: addr,
-		TxID: txid, Retries: retries,
+		TS: r.ts, Kind: kind, Bus: 0, Proc: int32(proc), Addr: addr,
+		TxID: txid, Retries: int32(retries),
 	})
 }
 

@@ -268,3 +268,29 @@ func TestAllocsDeferralPath(t *testing.T) {
 			total, refs, setup)
 	}
 }
+
+// TestSetupBytesBus16 pins what building the bus-16 mix allocates. The
+// presence directory is sized once, when sim.New seals the bus after
+// the last cache attached: one 64 KiB table. Growing it by doubling at
+// each Attach allocated 256, 512, … 4,096-entry tables on the way, 60
+// KiB more (345,206 B/op against 284,278 at Go 1.24 on linux/amd64);
+// the gate sits between the two.
+func TestSetupBytesBus16(t *testing.T) {
+	skipUnderRace(t)
+	mix := []string{"moesi", "moesi-invalidate", "berkeley", "dragon", "illinois", "synapse", "moesi-update", "write-through"}
+	cfg := Config{Shadow: true}
+	for _, p := range append(mix, mix...) {
+		cfg.Boards = append(cfg.Boards, BoardSpec{Protocol: p})
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := New(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got, limit := r.AllocedBytesPerOp(), int64(300_000); got > limit {
+		t.Errorf("sim.New of the bus-16 mix allocates %d B/op, want at most %d: is the presence directory grown more than once?", got, limit)
+	}
+}

@@ -414,8 +414,8 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 					TS:      rec.Clock(),
 					Dur:     p.waited,
 					Kind:    obs.KindBlocked,
-					Bus:     e.Sys.Bus.SegmentID(addr),
-					Proc:    ev.proc,
+					Bus:     int16(e.Sys.Bus.SegmentID(addr)),
+					Proc:    int32(ev.proc),
 					Addr:    uint64(addr),
 					CauseID: p.blocker,
 				})

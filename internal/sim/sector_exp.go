@@ -97,6 +97,7 @@ func SectorVsPlain(opts ExperimentOpts) (*Report, error) {
 			stats = func() cache.Stats { return aggregate(nil, caches) }
 		}
 
+		b.Seal()
 		// A 2.5 KiB shared buffer, re-walked: reuse fits 4 KiB caches
 		// but not the tag-starved 1 KiB organisation.
 		gens := make([]workload.Generator, procs)

@@ -271,7 +271,9 @@ func New(cfg Config) (*System, error) {
 		if discName == "" {
 			discName = "fcfs" // the bus default grant order
 		}
-		cfg.Obs.Emit(obs.Event{TS: cfg.Obs.Clock(), Kind: obs.KindEpoch, Bus: cfg.ObsID, Proc: -1, Cause: discName})
+		cfg.Obs.Emit(obs.Event{
+			TS: cfg.Obs.Clock(), Kind: obs.KindEpoch, Bus: int16(cfg.ObsID), Proc: -1, Cause: obs.Intern(discName),
+		})
 	}
 	if cfg.Shadow {
 		sys.Shadow = check.NewShadow(lineSize)
@@ -313,6 +315,7 @@ func New(cfg Config) (*System, error) {
 			sys.Boards = append(sys.Boards, &cachedBoard{Cache: c, name: spec.Protocol})
 		}
 	}
+	b.Seal()
 	return sys, nil
 }
 
