@@ -9,7 +9,6 @@ package futurebus_test
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 
 	"testing"
@@ -21,9 +20,7 @@ import (
 	"futurebus/internal/litmus"
 	"futurebus/internal/memory"
 	"futurebus/internal/obs"
-	"futurebus/internal/obs/obshttp"
 	"futurebus/internal/obs/perf"
-	"futurebus/internal/obs/watch"
 	"futurebus/internal/protocols"
 	"futurebus/internal/sim"
 	"futurebus/internal/tablegen"
@@ -391,8 +388,8 @@ func BenchmarkConcurrentEngineHost(b *testing.B) {
 // boards ping-ponging over 4 contested lines — for every bus tenure ×
 // arbitration discipline, reporting the saturation signals alongside
 // ns/op: p99 arbitration wait (simulated ns), the Jain fairness index
-// over per-board cumulative wait, and split-mode NACKs. This is the
-// BENCH_<date>.json capture of the discipline axis: fcfs/rr/bounded
+// over per-board cumulative wait, and split-mode NACKs (captured in
+// BENCH_2026-08-08.json). Across the discipline axis, fcfs/rr/bounded
 // hold fairness at 1.0 and pay the long tail, priority trades the
 // tail for starved high boards (fairness falls), and split tenure
 // overlaps memory service with other masters' address cycles.
@@ -435,12 +432,18 @@ func BenchmarkArbitration(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths ---
 
-// BenchmarkBusLockedRMW measures the atomic FetchAdd round trip.
+// BenchmarkBusLockedRMW measures the atomic FetchAdd round trip. The
+// warm-up call seals the bus (sizing the presence directory) and brings
+// the line in, so the timed loop is the fast path alone.
 func BenchmarkBusLockedRMW(b *testing.B) {
 	mem := memory.New(32)
 	bb := bus.New(mem, bus.Config{LineSize: 32})
 	c := cache.New(0, bb, protocols.MOESI(), cache.Config{Sets: 64, Ways: 2})
+	if _, err := c.FetchAdd(1, 0, 1); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.FetchAdd(1, 0, 1); err != nil {
 			b.Fatal(err)
@@ -646,205 +649,4 @@ func BenchmarkModelChecker(b *testing.B) {
 			b.Fatalf("%s", res)
 		}
 	}
-}
-
-// BenchmarkObsRecordingOverhead measures the steady-state wall-clock
-// cost of recording the default fbsim workload (moesi, 4 boards) to a
-// binary .fbt trace: "off" runs with no recorder, "fbt" runs with a
-// process-lifetime recorder feeding a RecordSink, the way fbsim
-// -record-out attaches one. The recorder is created outside the timed
-// loop because its ring is a one-time allocation, not per-run cost.
-// scripts/bench-compare.sh reports the fbt/off ratio and warns when it
-// drifts: on a single-core container the drain goroutine cannot
-// overlap the simulation, so the ratio is dominated by the emission
-// pipeline (event construction, ring push, varint encode), not disk.
-func BenchmarkObsRecordingOverhead(b *testing.B) {
-	const refs = 2000
-	cfg := sim.Homogeneous("moesi", 4)
-	run := func(b *testing.B, rec *obs.Recorder) {
-		b.Helper()
-		c := cfg
-		c.Obs = rec
-		sys, err := sim.New(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}
-		if _, err := eng.Run(refs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, nil)
-		}
-	})
-	b.Run("fbt", func(b *testing.B) {
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-// BenchmarkCoherenceSinkOverhead measures what live coherence
-// analytics add on top of recording: "record" is the
-// BenchmarkObsRecordingOverhead/fbt configuration, "record+coherence"
-// attaches an obshttp.CoherenceSink beside the RecordSink the way
-// fbsim -serve does. The delta between the two sub-benchmarks is the
-// per-run telemetry cost the /coherence endpoint pays for; BENCH json
-// tracks both so drift is visible.
-func BenchmarkCoherenceSinkOverhead(b *testing.B) {
-	const refs = 2000
-	cfg := sim.Homogeneous("moesi", 4)
-	run := func(b *testing.B, rec *obs.Recorder) {
-		b.Helper()
-		c := cfg
-		c.Obs = rec
-		sys, err := sim.New(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}
-		if _, err := eng.Run(refs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("record", func(b *testing.B) {
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("record+coherence", func(b *testing.B) {
-		sink := &obshttp.CoherenceSink{}
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}), sink)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if sink.Totals().StateEvents == 0 {
-			b.Fatal("coherence sink saw no state events")
-		}
-	})
-}
-
-// BenchmarkWatchSinkOverhead measures what live runtime verification
-// adds on top of recording: "record" is the plain RecordSink
-// configuration, "record+watch" attaches an obshttp.WatchSink beside
-// it the way fbsim -watch -serve does. bench-compare.sh gates the
-// ratio at 10% — a monitored run must stay within a tenth of an
-// unmonitored one.
-func BenchmarkWatchSinkOverhead(b *testing.B) {
-	const refs = 2000
-	cfg := sim.Homogeneous("moesi", 4)
-	run := func(b *testing.B, rec *obs.Recorder) {
-		b.Helper()
-		c := cfg
-		c.Obs = rec
-		sys, err := sim.New(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}
-		if _, err := eng.Run(refs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("record", func(b *testing.B) {
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("record+watch", func(b *testing.B) {
-		sink := obshttp.NewWatchSink(watch.Config{}, nil)
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}), sink)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-		rep := sink.Report()
-		if rep.States == 0 {
-			b.Fatal("watch sink saw no state events")
-		}
-		if rep.Total != 0 {
-			b.Fatalf("clean benchmark run flagged %d violations; first: %v", rep.Total, rep.First)
-		}
-	})
-}
-
-// BenchmarkPerfSinkOverhead measures what saturation telemetry adds on
-// top of recording: "record" is the plain RecordSink configuration,
-// "record+perf" attaches an obshttp.PerfSink beside it the way fbsim
-// -perf does (nil registry: the sink's own histograms and queue
-// reconstruction, no exposition cost). bench-compare.sh gates the
-// ratio at 10% — a perf-monitored run must stay within a tenth of a
-// record-only one.
-func BenchmarkPerfSinkOverhead(b *testing.B) {
-	const refs = 2000
-	cfg := sim.Homogeneous("moesi", 4)
-	run := func(b *testing.B, rec *obs.Recorder) {
-		b.Helper()
-		c := cfg
-		c.Obs = rec
-		sys, err := sim.New(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}
-		if _, err := eng.Run(refs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("record", func(b *testing.B) {
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("record+perf", func(b *testing.B) {
-		sink := obshttp.NewPerfSink(nil)
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}), sink)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-		snap := sink.Snapshot()
-		if snap.Events == 0 || snap.Latency[perf.MetricTenure].Count == 0 {
-			b.Fatal("perf sink saw no events")
-		}
-	})
 }

@@ -19,8 +19,7 @@
 // from tripping the gate. Simulated-time metrics (latency quantiles,
 // queue depth) are deterministic for a fixed battery/seed/engine, so
 // they gate hard; wall-clock metrics are reported but never gate.
-// Exits 1 on any regression, which is what scripts/bench-compare.sh
-// and CI hang the perf gate on.
+// Exits 1 on any regression, which is what CI hangs the perf gate on.
 package main
 
 // The compare fixtures under testdata/ are hand-shaped minimal reports
@@ -33,39 +32,28 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/perf"
 	"futurebus/internal/obs/regress"
 	"futurebus/internal/sim"
 	"futurebus/internal/workload"
 )
 
-// Meta pins the environment a report was produced in, mirroring the
-// _meta object scripts/bench.sh embeds in BENCH json.
-type Meta struct {
-	GitSHA     string `json:"git_sha,omitempty"`
-	Go         string `json:"go"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	CPUs       int    `json:"cpus"`
-	DateUTC    string `json:"date_utc"`
-}
-
 // Report is the perf.json document.
 type Report struct {
-	Meta    Meta   `json:"_meta"`
-	Battery string `json:"battery"`
-	Engine  string `json:"engine"`
-	Procs   int    `json:"procs"`
-	Refs    int64  `json:"refs"`
-	Seed    uint64 `json:"seed"`
+	Meta    ledger.Meta `json:"_meta"`
+	Battery string      `json:"battery"`
+	Engine  string      `json:"engine"`
+	Procs   int         `json:"procs"`
+	Refs    int64       `json:"refs"`
+	Seed    uint64      `json:"seed"`
 	// Host is the run's host-cost accounting (wall clock, allocations
 	// per reference, GC bill, goroutine peak).
 	Host perf.HostReport `json:"host"`
@@ -246,7 +234,7 @@ func cmdRun(args []string) {
 	writeLookup(*blockProfile, "block")
 
 	rep := Report{
-		Meta:    readMeta(),
+		Meta:    ledger.HostMeta(),
 		Battery: *batteryName,
 		Engine:  *engine,
 		Procs:   len(bat.boards),
@@ -267,22 +255,6 @@ func cmdRun(args []string) {
 	fmt.Fprintf(os.Stderr, "fbperf: %s (%s) — %d refs in %.1f ms, %.1f B/ref, %.0f refs/s\n",
 		*batteryName, bat.desc, m.Refs, float64(host.WallNS)/1e6,
 		host.AllocBytesPerRef, host.RefsPerSec)
-}
-
-// readMeta pins the environment. The git SHA is best-effort: fbperf
-// may run from an exported tree, and a missing SHA must not fail a
-// perf run.
-func readMeta() Meta {
-	m := Meta{
-		Go:         runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		DateUTC:    time.Now().UTC().Format(time.RFC3339),
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		m.GitSHA = strings.TrimSpace(string(out))
-	}
-	return m
 }
 
 // thresholds configures the compare gate.

@@ -11,13 +11,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
 
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/obshttp"
 	"futurebus/internal/obs/watch"
 	"futurebus/internal/sim"
@@ -183,7 +183,7 @@ func main() {
 			Fbsweep: batteryParams{
 				Exp: strings.ToUpper(*exp), Refs: *refs, Seed: *seed, Shards: *shards,
 			},
-			Meta:    readMeta(),
+			Meta:    ledger.HostMeta(),
 			Reports: reports,
 		}
 		out, err := json.MarshalIndent(doc, "", "  ")
@@ -255,7 +255,7 @@ func main() {
 // ingester mirrors this shape — keep the two in lockstep.
 type batteryDoc struct {
 	Fbsweep batteryParams `json:"fbsweep"`
-	Meta    batteryMeta   `json:"_meta"`
+	Meta    ledger.Meta   `json:"_meta"`
 	Reports []*sim.Report `json:"reports"`
 }
 
@@ -264,32 +264,6 @@ type batteryParams struct {
 	Refs   int    `json:"refs"`
 	Seed   uint64 `json:"seed"`
 	Shards int    `json:"shards"`
-}
-
-// batteryMeta pins the environment the document was produced in,
-// mirroring fbperf's _meta block so the run ledger treats both alike.
-type batteryMeta struct {
-	GitSHA     string `json:"git_sha,omitempty"`
-	Go         string `json:"go"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	CPUs       int    `json:"cpus"`
-	DateUTC    string `json:"date_utc"`
-}
-
-// readMeta pins the environment. The git SHA is best-effort: the
-// sweep may run from an exported tree, and a missing SHA must not
-// fail the battery.
-func readMeta() batteryMeta {
-	m := batteryMeta{
-		Go:         runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		DateUTC:    time.Now().UTC().Format(time.RFC3339),
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		m.GitSHA = strings.TrimSpace(string(out))
-	}
-	return m
 }
 
 // effectiveWorkers resolves the -jobs flag: 0 means one worker per

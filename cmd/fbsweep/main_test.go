@@ -42,7 +42,7 @@ func TestEffectiveWorkers(t *testing.T) {
 func TestBatteryDocIngestable(t *testing.T) {
 	doc := batteryDoc{
 		Fbsweep: batteryParams{Exp: "P11", Refs: 2000, Seed: 1986, Shards: 1},
-		Meta:    batteryMeta{GitSHA: "abc1234", Go: "go1.24.0", GOMAXPROCS: 8, CPUs: 8, DateUTC: "2026-08-08T00:00:00Z"},
+		Meta:    ledger.Meta{GitSHA: "abc1234", Go: "go1.24.0", GOMAXPROCS: 8, CPUs: 8, DateUTC: "2026-08-08T00:00:00Z"},
 		Reports: []*sim.Report{{
 			ID:      "P11",
 			Title:   "tenure × discipline",

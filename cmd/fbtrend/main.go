@@ -32,8 +32,8 @@ import (
 	"futurebus/internal/obs/regress"
 )
 
-// DefaultLedger is the conventional ledger path scripts/bench.sh
-// appends to at the repo root.
+// DefaultLedger is the conventional ledger path at the repo root, used
+// when -ledger is not given.
 const DefaultLedger = "BENCH_LEDGER.jsonl"
 
 func main() {

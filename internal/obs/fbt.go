@@ -98,7 +98,7 @@ var seedKinds = []Kind{
 // RecordSink serialises the event stream to a .fbt binary trace. It
 // implements Sink, so attaching it to a Recorder records the run; the
 // encoding is a few varints per event, cheap enough to stay under the
-// recording-overhead budget (see BenchmarkObsRecordingOverhead).
+// recording-overhead budget (perfbench's obs.consume_ns.record).
 type RecordSink struct {
 	w io.Writer
 	// buf is encoded output not yet written: it goes out in chunks of

@@ -18,8 +18,8 @@ import (
 //
 // Supported formats:
 //
-//   - BENCH_*.json (scripts/bench.sh): flat benchmark → metric object
-//     with an embedded _meta block;
+//   - BENCH_*.json (the committed benchmark history): flat benchmark →
+//     metric object with an embedded _meta block;
 //   - fbperf run reports: _meta, battery, sim quantiles, host costs;
 //   - fbcausal analyze -json: run totals and per-cause blame;
 //   - fblens analyze -json: per-protocol coherence rates;
@@ -304,8 +304,8 @@ func ratio(num, den int64) float64 {
 }
 
 // sanitizeKey folds a free-form cell or column name into the metric-key
-// alphabet: "/" (a rate) becomes "_per_" as in bench.sh, and anything
-// outside [A-Za-z0-9_.%+-] becomes "_".
+// alphabet: "/" (a rate) becomes "_per_" as in the BENCH_*.json unit
+// names (ns_per_op), and anything outside [A-Za-z0-9_.%+-] becomes "_".
 func sanitizeKey(s string) string {
 	s = strings.ReplaceAll(s, "/", "_per_")
 	return strings.Map(func(r rune) rune {

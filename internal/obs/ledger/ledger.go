@@ -4,14 +4,15 @@
 // against the rolling statistics of many runs instead of one brittle
 // baseline file.
 //
-// Each line is one Record: provenance (_meta, mirroring the block
-// scripts/bench.sh embeds in BENCH json), a source kind naming the
+// Each line is one Record: provenance (_meta, the block HostMeta
+// builds for fbperf and fbsweep reports), a source kind naming the
 // report format it was ingested from, an optional label separating
 // incomparable series of the same kind (e.g. fbperf batteries), and a
 // flat metric-key → value map. Flatness is the point: every report
-// format the tree emits — BENCH_*.json, fbperf run reports, fbcausal
-// analyze -json, fblens -json, fbsweep -json battery docs — folds into
-// the same shape (see ingest.go), so one gate covers them all.
+// format the tree holds — the committed BENCH_*.json history, fbperf
+// run reports, fbcausal analyze -json, fblens -json, fbsweep -json
+// battery docs — folds into the same shape (see ingest.go), so one
+// gate covers them all.
 //
 // The file is append-only by construction (Append opens O_APPEND) and
 // by contract: records are never rewritten, and the reader tolerates a
@@ -27,6 +28,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
+	"strings"
+	"time"
 )
 
 // Schema is the ledger record schema version. Bump only when an
@@ -37,22 +42,38 @@ const Schema = 1
 
 // Source kinds. One per report format the ingesters understand.
 const (
-	KindBench  = "bench"    // scripts/bench.sh BENCH_*.json
+	KindBench  = "bench"    // committed BENCH_*.json history
 	KindPerf   = "fbperf"   // fbperf run report
 	KindCausal = "fbcausal" // fbcausal analyze -json
 	KindLens   = "fblens"   // fblens analyze -json
 	KindSweep  = "fbsweep"  // fbsweep -json battery doc
 )
 
-// Meta pins the environment a run was produced in. Field names match
-// the _meta object scripts/bench.sh and fbperf already emit, so
-// ingestion is a straight copy.
+// Meta pins the environment a run was produced in. It is the _meta
+// object fbperf and fbsweep embed in their reports (see HostMeta) and
+// the BENCH_*.json history carries, so ingestion is a straight copy.
 type Meta struct {
 	GitSHA     string `json:"git_sha,omitempty"`
 	Go         string `json:"go,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	CPUs       int    `json:"cpus,omitempty"`
 	DateUTC    string `json:"date_utc,omitempty"`
+}
+
+// HostMeta pins the environment of the running process. The git SHA is
+// best-effort: a report may be produced from an exported tree, and a
+// missing SHA must not fail the run.
+func HostMeta() Meta {
+	m := Meta{
+		Go:         runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUs:       runtime.NumCPU(),
+		DateUTC:    time.Now().UTC().Format(time.RFC3339),
+	}
+	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
+		m.GitSHA = strings.TrimSpace(string(out))
+	}
+	return m
 }
 
 // Record is one ledger line: one run of one report family.

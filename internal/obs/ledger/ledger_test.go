@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleRecord(label string, metrics map[string]float64) Record {
@@ -70,6 +72,20 @@ func TestLedgerSchemaAppendOnly(t *testing.T) {
 		if kind != want {
 			t.Errorf("%s = %q, want %q — kind strings are part of the on-disk format", name, kind, want)
 		}
+	}
+}
+
+// TestHostMeta: the _meta block fbperf and fbsweep embed names the
+// toolchain, the scheduler width, the CPU count and an RFC 3339 UTC
+// date (the git SHA is best-effort and may be empty).
+func TestHostMeta(t *testing.T) {
+	m := HostMeta()
+	if m.Go != runtime.Version() || m.GOMAXPROCS != runtime.GOMAXPROCS(0) || m.CPUs != runtime.NumCPU() {
+		t.Errorf("HostMeta() = %+v, want go %s, gomaxprocs %d, cpus %d",
+			m, runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	if _, err := time.Parse(time.RFC3339, m.DateUTC); err != nil || !strings.HasSuffix(m.DateUTC, "Z") {
+		t.Errorf("date_utc %q is not an RFC 3339 UTC time (%v)", m.DateUTC, err)
 	}
 }
 

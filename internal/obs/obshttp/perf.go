@@ -37,8 +37,7 @@ var perfFamilies = []struct {
 // recorder's drain goroutine and feeds both the saturation sink (the
 // /perf document) and the registry's native histogram metrics; depth
 // samples additionally maintain per-shard current/peak queue gauges.
-// reg may be nil (no metric export — fbsim -perf without -serve, and
-// the overhead benchmark).
+// reg may be nil (no metric export — fbsim -perf without -serve).
 type PerfSink struct {
 	sink  *perf.Sink
 	reg   *Registry

@@ -148,8 +148,8 @@ func TestPerfSinkExportsMetrics(t *testing.T) {
 	}
 }
 
-// A nil registry (fbsim -perf without -serve, the overhead benchmark)
-// still accumulates the snapshot.
+// A nil registry (fbsim -perf without -serve) still accumulates the
+// snapshot.
 func TestPerfSinkNilRegistry(t *testing.T) {
 	ps := NewPerfSink(nil)
 	ps.Consume(&obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 100, Dur: 50})

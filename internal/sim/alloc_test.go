@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"futurebus/internal/bus"
+	"futurebus/internal/cache"
 	"futurebus/internal/core"
+	"futurebus/internal/memory"
+	"futurebus/internal/protocols"
 	"futurebus/internal/workload"
 )
 
@@ -79,6 +82,30 @@ func TestAllocsEngineHits(t *testing.T) {
 				t.Fatalf("%s: warm run issued %d bus transactions", tc.name, txs)
 			}
 		})
+	}
+}
+
+// TestAllocsLockedRMW: the bus-locked read-modify-write on a warm line
+// allocates nothing. One MOESI cache on a default (atomic-tenure) bus;
+// the warm-up FetchAdd seals the bus and brings the line in, so what is
+// counted is the fast path alone: acquire the line's shard, read the
+// local copy, write it, release.
+func TestAllocsLockedRMW(t *testing.T) {
+	skipUnderRace(t)
+	bb := bus.New(memory.New(32), bus.Config{LineSize: 32})
+	c := cache.New(0, bb, protocols.MOESI(), cache.Config{Sets: 64, Ways: 2})
+	rmw := func() {
+		if _, err := c.FetchAdd(1, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rmw()
+	before := bb.Stats().Transactions
+	if got := testing.AllocsPerRun(200, rmw); got != 0 {
+		t.Errorf("locked FetchAdd on a warm line: %.2f allocs, want 0", got)
+	}
+	if txs := bb.Stats().Transactions - before; txs != 0 {
+		t.Fatalf("warm FetchAdds issued %d bus transactions: the line did not stay local", txs)
 	}
 }
 

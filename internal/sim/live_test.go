@@ -7,15 +7,21 @@ import (
 
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/obshttp"
+	"futurebus/internal/obs/perf"
+	"futurebus/internal/obs/watch"
 	"futurebus/internal/workload"
 )
 
 // TestLiveMetricsDuringRun polls LiveMetrics from a second goroutine
 // while the concurrent engine runs — under -race this is the proof the
 // snapshot only touches race-safe state — then checks the final
-// snapshot agrees with the engine's Metrics.
+// snapshot agrees with the engine's Metrics. The service carries the
+// sinks fbsim -serve -watch attaches, and each must have seen the run:
+// the watch monitor clean with state events, coherence state events,
+// and perf tenures.
 func TestLiveMetricsDuringRun(t *testing.T) {
 	svc := obshttp.NewService(4)
+	svc.EnableWatch(watch.Config{})
 	rec := obs.New(svc.Sinks()...)
 	cfg := Homogeneous("moesi", 4)
 	cfg.Obs = rec
@@ -89,6 +95,16 @@ func TestLiveMetricsDuringRun(t *testing.T) {
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if rep := svc.Watch.Report(); rep.States == 0 || rep.Total != 0 {
+		t.Errorf("watch sink: %d state events, %d violations (first: %v); want some and 0",
+			rep.States, rep.Total, rep.First)
+	}
+	if got := svc.Coherence.Totals().StateEvents; got == 0 {
+		t.Error("coherence sink saw no state events")
+	}
+	if got := svc.Perf.Snapshot().Latency[perf.MetricTenure].Count; got == 0 {
+		t.Error("perf sink saw no bus tenures")
 	}
 }
 

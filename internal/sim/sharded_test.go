@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"futurebus/internal/bus"
+	"futurebus/internal/workload"
 )
 
 // shardedMixConfig is a mixed board set (plain, sector, uncached) used
@@ -73,6 +74,52 @@ func TestShardedDetEngineDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.Bus != b.Bus || a.Cache != b.Cache || a.ElapsedNanos != b.ElapsedNanos {
 		t.Fatalf("same-seed sharded runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestShardedScaling: simulated throughput rises with the shard count.
+// BenchmarkShardedFabric's system — 8 mostly-private MOESI boards on
+// the ab model — runs on the deterministic engine at 1, 2, 4 and 8
+// shards; refs/simms (references retired per simulated millisecond)
+// must grow at every step and reach at least twice the one-shard
+// figure at 8 shards, as transactions that would serialise on one
+// Futurebus proceed on independent shards.
+func TestShardedScaling(t *testing.T) {
+	const refs = 1500
+	var prev, first float64
+	for _, shards := range []int{1, 2, 4, 8} {
+		cfg := Homogeneous("moesi", 8)
+		cfg.Shards = shards
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := sys.Generators(func(proc int) workload.Generator {
+			return workload.MustModel(workload.Model{
+				Proc: proc, SharedLines: 32, PrivateLines: 80,
+				WordsPerLine: sys.WordsPerLine(),
+				PShared:      0.05, PWrite: 0.3, Locality: 0.5,
+			}, 1986)
+		})
+		eng := Engine{Sys: sys, Gens: gens}
+		m, err := eng.Run(refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.ElapsedNanos == 0 {
+			t.Fatalf("%d shards: no simulated time elapsed", shards)
+		}
+		got := float64(m.Refs) / (float64(m.ElapsedNanos) / 1e6)
+		t.Logf("%d shards: %.0f refs/simms", shards, got)
+		if shards == 1 {
+			first = got
+		} else if got <= prev {
+			t.Errorf("%d shards: %.0f refs/simms, not above %.0f at %d", shards, got, prev, shards/2)
+		}
+		prev = got
+	}
+	if prev < 2*first {
+		t.Errorf("8 shards: %.0f refs/simms, %.2fx the 1-shard %.0f; want at least 2x", prev, prev/first, first)
 	}
 }
 
